@@ -8,17 +8,18 @@ generators and aggregation follows input order.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .channel import ChannelSpec, Family, abgx, make_channel
-from .errors import WitnessError
+from .errors import DomainError, WitnessError
 from .kernels import ladder_matvec
-from .majorization import (FockDiagonalState, MajorizationVerdict, Relation,
-                           fock_compare, majorize_compare, mix)
+from .majorization import (RELATIONS, FockDiagonalState, MajorizationVerdict,
+                           Relation, compare_stack, decide, fock_compare,
+                           majorize_compare, mix, prefix_sums)
 from .transition import TransitionGrid, grid_recurrence
 
 DEFAULT_SEED = 20240
@@ -75,6 +76,8 @@ def ladder_verify(spec: ChannelSpec, i_max: int = 30, tol: float = 1e-12,
                   tail_tol: float = 1e-10) -> LadderReport:
     """Check that each output row majorizes the next one, for Fock inputs
     0..i_max, and cross-check each step through the ladder matrix."""
+    if i_max < 1:
+        raise DomainError("i_max", i_max, "i_max >= 1")
     params = abgx(spec)
     grid = grid_recurrence(params, i_max, tail_tol)
     verdicts = []
@@ -116,6 +119,11 @@ def _ensure_grid(spec, i_need, grid, tail_tol=1e-10) -> TransitionGrid:
     return grid_recurrence(abgx(spec), i_need, tail_tol)
 
 
+def _require_shift(k: int) -> None:
+    if k < 0:
+        raise DomainError("k", k, "k >= 0")
+
+
 def mixture_shift_check(spec: ChannelSpec, coeffs, k: int, tol: float = 1e-12,
                         grid: Optional[TransitionGrid] = None) -> MajorizationVerdict:
     """Output of a Fock mixture against the output of the same mixture
@@ -125,6 +133,7 @@ def mixture_shift_check(spec: ChannelSpec, coeffs, k: int, tol: float = 1e-12,
     identity is verified entrywise (WitnessError beyond tol) and certifies
     the expected LeftMajorizes verdict, which is returned.
     """
+    _require_shift(k)
     coeffs = np.asarray(coeffs, dtype=np.float64)
     grid = _ensure_grid(spec, len(coeffs) - 1 + k, grid)
     params = grid.params
@@ -150,6 +159,7 @@ def mixture_vs_lowest_fock(spec: ChannelSpec, coeffs, k: int, tol: float = 1e-12
     row k; convexity of column-stochastic matrices then forces the row-k
     output to majorize it.
     """
+    _require_shift(k)
     coeffs = np.asarray(coeffs, dtype=np.float64)
     grid = _ensure_grid(spec, len(coeffs) - 1 + k, grid)
     params = grid.params
@@ -170,6 +180,26 @@ def mixture_vs_lowest_fock(spec: ChannelSpec, coeffs, k: int, tol: float = 1e-12
 # ---------------------------------------------------------------------------
 # Passive-path scan over binary Fock mixtures
 # ---------------------------------------------------------------------------
+
+MAX_SCAN_LENGTH = 16
+# Pattern outputs and pair margins are built in row chunks of about this
+# many cells, so a scan's temporaries stay a fixed size whatever the length
+# and the grid width.
+SCAN_CHUNK_CELLS = 1 << 13
+
+
+def _passive_move(code):
+    """One passive-path move on a pattern encoded as an integer whose most
+    significant of `length` bits is Fock level 0 (so enumeration order is
+    numeric order); works elementwise on integer arrays.
+
+    The shortest unsorted suffix of a pattern reads 0 1..1 0..0, ending in
+    its highest occupied levels; sorting it descending moves that run of
+    ones one level lower, which adds the run to the code. The result is
+    at least 1 << length exactly when the pattern was already passive.
+    """
+    return code + (code & ~(code + (code & -code)))
+
 
 @dataclass(frozen=True)
 class BinaryPattern:
@@ -203,13 +233,6 @@ class BinaryPattern:
         ones = [i for i, b in enumerate(self.bits) if b]
         return sum(ones) / len(ones)
 
-    def is_passive(self) -> bool:
-        return list(self.bits) == sorted(self.bits, reverse=True)
-
-    def passivize_suffix(self, core_len: int) -> "BinaryPattern":
-        suffix = sorted(self.bits[core_len:], reverse=True)
-        return BinaryPattern(self.bits[:core_len] + tuple(suffix))
-
     def state(self) -> FockDiagonalState:
         w = np.asarray(self.bits, dtype=np.float64) / self.n_ones
         return FockDiagonalState.from_weights(w)
@@ -222,15 +245,12 @@ def passive_path(pattern: BinaryPattern) -> list[BinaryPattern]:
     remaining suffix to its minimal-energy order; the conjecture under
     test says every such move lowers the output disorder.
     """
+    length = len(pattern.bits)
     path = [pattern]
-    current = pattern
-    while not current.is_passive():
-        for core_len in range(len(current.bits) - 1, -1, -1):
-            step = current.passivize_suffix(core_len)
-            if step.bits != current.bits:
-                current = step
-                path.append(current)
-                break
+    code = _passive_move(int(str(pattern), 2))
+    while not code >> length:
+        path.append(BinaryPattern.from_string(format(code, f"0{length}b")))
+        code = _passive_move(code)
     return path
 
 
@@ -239,6 +259,123 @@ def _pattern_output(grid: TransitionGrid, pattern: BinaryPattern) -> FockDiagona
     w = grid.rows[ones].sum(axis=0) / len(ones)
     tail = float(grid.tails[ones].sum()) / len(ones)
     return FockDiagonalState.from_weights(w, tail)
+
+
+@dataclass(frozen=True)
+class _ScanPlan:
+    """The channel-independent part of a passive-path scan of one length.
+
+    Rows are the patterns with at least two ones, grouped by their number
+    of ones. Every check compares a non-passive pattern with its passive-
+    path move (for the swap check, core+110 is the move of core+011), so
+    it is named by that pattern's row: one verdict per row decides every
+    check. `compared` lists the checks, swaps first, then the path moves
+    of every pattern in enumeration order.
+    """
+
+    bits: np.ndarray      # (rows, length) 0/1 matrix
+    groups: tuple         # (k, first row, (rows, k) levels of the ones) per number of ones k
+    next_row: np.ndarray  # row of each pattern's move, -1 for the passive pattern
+    compared: np.ndarray
+    n_patterns: int
+    n_swap: int
+    n_steps: int
+    energy_violations: tuple  # checks whose move raises the input energy
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=MAX_SCAN_LENGTH + 1)
+def _scan_plan(length: int) -> _ScanPlan:
+    codes = np.arange(1 << length)
+    bits_all = (codes[:, None] >> np.arange(length - 1, -1, -1)) & 1
+    n_ones = bits_all.sum(axis=1)
+    moves = _passive_move(codes)
+    passive = (moves >> length) != 0
+    starts = codes[n_ones >= 2]
+
+    # path moves of every start pattern, in enumeration order
+    depth = np.zeros(len(starts), dtype=np.intp)
+    cur = starts.copy()
+    while True:
+        alive = ~passive[cur]
+        if not alive.any():
+            break
+        depth += alive
+        cur[alive] = moves[cur[alive]]
+    offsets = np.cumsum(depth) - depth
+    steps = np.empty(int(depth.sum()), dtype=np.intp)
+    cur = starts.copy()
+    for s in range(int(depth.max(initial=0))):
+        alive = depth > s
+        steps[offsets[alive] + s] = cur[alive]
+        cur[alive] = moves[cur[alive]]
+    swaps = np.arange(1 << length >> 3) << 3 | 0b011  # core+011 for every core
+    checked = np.concatenate([swaps, steps])
+
+    order = starts[np.argsort(n_ones[starts], kind="stable")]
+    row_of = np.full(2 << length, -1, dtype=np.intp)  # moves of passive codes land at -1
+    row_of[order] = np.arange(len(order))
+    bits = bits_all[order].astype(np.uint8)
+    next_row = row_of[moves[order]]
+    groups = []
+    for k in range(2, length + 1):
+        rows = np.flatnonzero(n_ones[order] == k)
+        if len(rows):
+            ones = np.nonzero(bits[rows])[1].reshape(len(rows), k)
+            groups.append((k, int(rows[0]), _readonly(ones)))
+
+    energy = (bits * np.arange(length)).sum(axis=1) / n_ones[order]
+    raises = (next_row >= 0) & (energy[next_row] > energy)
+    compared = row_of[checked]
+    return _ScanPlan(
+        bits=_readonly(bits), groups=tuple(groups), next_row=_readonly(next_row),
+        compared=_readonly(compared), n_patterns=len(starts), n_swap=len(swaps),
+        n_steps=len(steps), energy_violations=tuple(np.flatnonzero(raises[compared]).tolist()))
+
+
+def _label(bits) -> str:
+    return "".join(str(int(b)) for b in bits)
+
+
+def _decide_plan(grid: TransitionGrid, plan: _ScanPlan, tol: float):
+    """Relation code (index into RELATIONS), worst slack and left slack of every row's check on
+    this grid (unset for passive rows).
+
+    Each pattern's output is built once: rows accumulate in ascending
+    level order, as grid.rows[ones].sum(axis=0) does, so every sum is
+    bit-identical to a per-pattern computation. A move keeps the number of
+    ones, so one group's prefix sums at a time suffice.
+    """
+    n_rows = len(plan.bits)
+    chunk_rows = max(1, SCAN_CHUNK_CELLS // grid.rows.shape[1])
+    relation = np.zeros(n_rows, dtype=np.int8)
+    worst = np.zeros(n_rows)
+    left_slack = np.full(n_rows, np.inf)
+    for k, first, ones in plan.groups:
+        if len(ones) < 2:  # the passive pattern alone: nothing to compare
+            continue
+        tails = grid.tails[ones].sum(axis=1) / k
+        prefix = np.empty((len(ones), grid.rows.shape[1]))
+        for lo in range(0, len(ones), chunk_rows):
+            chunk = ones[lo:lo + chunk_rows]
+            out = grid.rows[chunk[:, 0]]
+            for c in range(1, k):
+                out += grid.rows[chunk[:, c]]
+            prefix[lo:lo + len(chunk)] = prefix_sums(
+                out / k, tails[lo:lo + len(chunk)], sort=True, name="pattern output")
+        right = np.flatnonzero(plan.next_row[first:first + len(ones)] >= 0)
+        left = plan.next_row[first + right] - first
+        for lo in range(0, len(right), chunk_rows):
+            a, b = left[lo:lo + chunk_rows], right[lo:lo + chunk_rows]
+            v = decide(prefix[a] - prefix[b], tol + tails[a] + tails[b])
+            relation[first + b] = v.codes
+            worst[first + b] = v.worst_slack
+            left_slack[first + b] = v.left_slack
+    return relation, worst, left_slack
 
 
 @dataclass(frozen=True)
@@ -282,57 +419,37 @@ def conjecture_scan(spec: ChannelSpec, length: int, tol: float = 1e-12,
     decreases and each output majorizes its predecessor's. Optionally
     samples occupation numbers beyond {0, 1}, where the relation is known
     to break down; those verdicts are reported but never asserted.
+
+    The enumeration is planned once per length and cached; each scan then
+    decides every distinct compared pair in one batched pass.
     """
-    if length > 16:
-        raise ValueError("exhaustive enumeration is limited to length <= 16")
+    if not 2 <= length <= MAX_SCAN_LENGTH:
+        raise DomainError("length", length,
+                          f"2 <= length <= {MAX_SCAN_LENGTH} (exhaustive enumeration)")
     grid = _ensure_grid(spec, length - 1, grid)
-    violations = []
-    worst = np.inf
-    cache: dict = {}
+    plan = _scan_plan(length)
+    relation, slack, left_slack = _decide_plan(grid, plan, tol)
 
-    def compare(left: BinaryPattern, right: BinaryPattern) -> MajorizationVerdict:
-        key = (left.bits, right.bits)
-        if key not in cache:
-            cache[key] = majorize_compare(_pattern_output(grid, left),
-                                          _pattern_output(grid, right), tol)
-        return cache[key]
-
-    n_swap = 0
-    if length >= 3:
-        for core in itertools.product((0, 1), repeat=length - 3):
-            active = BinaryPattern(core + (0, 1, 1))
-            passive = BinaryPattern(core + (1, 1, 0))
-            v = compare(passive, active)
-            n_swap += 1
-            worst = min(worst, v.left_slack)
-            if not v.holds_left:
-                violations.append({"check": "swap", "pattern": str(active),
-                                   "relation": v.relation.value,
-                                   "slack": v.worst_slack})
-
-    n_patterns = 0
-    n_steps = 0
-    for bits in itertools.product((0, 1), repeat=length):
-        if sum(bits) < 2:
-            continue
-        n_patterns += 1
-        path = passive_path(BinaryPattern(bits))
-        for cur, nxt in zip(path, path[1:]):
-            if nxt.energy > cur.energy:
-                violations.append({"check": "path-energy", "pattern": str(cur),
-                                   "next": str(nxt)})
-            v = compare(nxt, cur)
-            n_steps += 1
-            worst = min(worst, v.left_slack)
-            if not v.holds_left:
-                violations.append({"check": "path", "pattern": str(cur),
-                                   "next": str(nxt),
-                                   "relation": v.relation.value,
-                                   "slack": v.worst_slack})
+    events = []
+    for c in plan.energy_violations:
+        r = plan.compared[c]
+        events.append(((c, 0), {"check": "path-energy", "pattern": _label(plan.bits[r]),
+                                "next": _label(plan.bits[plan.next_row[r]])}))
+    for c in np.flatnonzero(relation[plan.compared] > 1):
+        r = plan.compared[c]
+        found = {"check": "swap" if c < plan.n_swap else "path",
+                 "pattern": _label(plan.bits[r])}
+        if c >= plan.n_swap:
+            found["next"] = _label(plan.bits[plan.next_row[r]])
+        found["relation"] = RELATIONS[relation[r]].value
+        found["slack"] = float(slack[r])
+        events.append(((int(c), 1), found))
+    violations = [found for _, found in sorted(events, key=lambda e: e[0])]
 
     exploratory = []
     if nonbinary_samples > 0:
         rng = np.random.default_rng(seed)
+        samples = []
         for _ in range(nonbinary_samples):
             occ = rng.integers(0, 3, size=length)
             if occ.sum() < 2 or occ.max() < 2:
@@ -341,21 +458,26 @@ def conjecture_scan(spec: ChannelSpec, length: int, tol: float = 1e-12,
             rearranged = np.concatenate([occ[:cut], np.sort(occ[cut:])[::-1]])
             if (rearranged == occ).all():
                 continue
-            w_active = occ / occ.sum()
-            w_passive = rearranged / rearranged.sum()
-            v = majorize_compare(
-                _output_of_weights(grid, w_passive),
-                _output_of_weights(grid, w_active), tol)
-            exploratory.append({"occupation": occ.tolist(),
-                                "rearranged": rearranged.tolist(),
-                                "relation": v.relation.value,
-                                "slack": v.worst_slack})
+            samples.append((occ, rearranged))
+        if samples:
+            passive = [_output_of_weights(grid, r / r.sum()) for _, r in samples]
+            active = [_output_of_weights(grid, occ / occ.sum()) for occ, _ in samples]
+            v = compare_stack(np.array([s.weights for s in passive]),
+                              np.array([s.weights for s in active]),
+                              np.array([s.tail for s in passive]),
+                              np.array([s.tail for s in active]), tol)
+            for r, (occ, rearranged) in enumerate(samples):
+                exploratory.append({"occupation": occ.tolist(),
+                                    "rearranged": rearranged.tolist(),
+                                    "relation": RELATIONS[v.codes[r]].value,
+                                    "slack": float(v.worst_slack[r])})
 
+    worst = float(left_slack.min(initial=np.inf))
+    worst = worst if np.isfinite(worst) else 0.0
     return ConjectureReport(
-        channel=spec, length=length, seed=seed, n_patterns=n_patterns,
-        n_swap_checks=n_swap, n_chain_steps=n_steps,
-        worst_slack=float(worst) if np.isfinite(worst) else 0.0,
-        violations=tuple(violations), passed=not violations,
+        channel=spec, length=length, seed=seed, n_patterns=plan.n_patterns,
+        n_swap_checks=plan.n_swap, n_chain_steps=plan.n_steps,
+        worst_slack=worst, violations=tuple(violations), passed=not violations,
         exploratory=tuple(exploratory))
 
 

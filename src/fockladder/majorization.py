@@ -63,11 +63,7 @@ class FockDiagonalState:
         return (e + len(self.weights) * self.tail, e + cap * self.tail)
 
     def check_normalized(self, tol: float = NORMALIZATION_TOL) -> None:
-        total = float(self.weights.sum()) + self.tail
-        if abs(total - 1.0) > tol or self.tail < -tol or float(self.weights.min(initial=0.0)) < -tol:
-            raise NormalizationError(
-                f"weights+tail={total!r}, tail={self.tail!r} not a distribution "
-                f"within {tol}")
+        check_rows(self.weights[None, :], np.array([self.tail]), "state", tol)
 
 
 def mix(states: list[FockDiagonalState], coeffs) -> FockDiagonalState:
@@ -119,67 +115,133 @@ class MajorizationVerdict:
                 "right_slack": self.right_slack}
 
 
-def _padded_pair(p: FockDiagonalState, q: FockDiagonalState):
-    length = max(len(p.weights), len(q.weights))
-    wp = np.zeros(length)
-    wq = np.zeros(length)
-    wp[:len(p.weights)] = p.weights
-    wq[:len(q.weights)] = q.weights
-    return wp, wq
+# Relation codes used by the batched engine: 2 * (left fails) + (right fails),
+# looked up in _CODES by [left holds, right holds].
+RELATIONS = (Relation.EQUIVALENT, Relation.LEFT_MAJORIZES,
+             Relation.RIGHT_MAJORIZES, Relation.INCOMPARABLE)
+_CODES = np.array([[3, 2], [1, 0]], dtype=np.int8)
 
 
-def _prefix_verdict(wp, wq, tol_eff) -> MajorizationVerdict:
-    margins = np.cumsum(wp) - np.cumsum(wq)
-    i_left = int(np.argmin(margins))
-    left = float(margins[i_left])
-    i_right = int(np.argmax(margins))
-    right = float(-margins[i_right])
-    left_ok = left >= -tol_eff
-    right_ok = right >= -tol_eff
-    if left_ok and right_ok:
-        relation = Relation.EQUIVALENT
-    elif left_ok:
-        relation = Relation.LEFT_MAJORIZES
-    elif right_ok:
-        relation = Relation.RIGHT_MAJORIZES
+@dataclass(frozen=True)
+class VerdictStack:
+    """Row-wise outcomes of compare_stack: row r of every array belongs to
+    the r-th compared pair, with the fields of MajorizationVerdict."""
+
+    codes: np.ndarray  # index into RELATIONS
+    worst_slack: np.ndarray
+    at_index: np.ndarray
+    left_slack: np.ndarray
+    right_slack: np.ndarray
+
+    def verdict(self, r: int) -> MajorizationVerdict:
+        return MajorizationVerdict(RELATIONS[self.codes[r]], float(self.worst_slack[r]),
+                                   int(self.at_index[r]), float(self.left_slack[r]),
+                                   float(self.right_slack[r]))
+
+
+def check_rows(weights: np.ndarray, tails: np.ndarray, name: str,
+               tol: float = NORMALIZATION_TOL) -> None:
+    """Raise NormalizationError unless every row of weights, plus its tail,
+    is a finite probability distribution within tol; the message names the
+    first failing row and the condition it fails."""
+    # A NaN or infinite weight or tail makes the total non-finite, and every
+    # comparison with NaN is False, so one test per condition covers them.
+    totals = weights.sum(axis=1) + tails
+    lowest = np.minimum(weights.min(axis=1, initial=0.0), tails)
+    ok = (abs(totals - 1.0) <= tol) & (lowest >= -tol)
+    if ok.all():
+        return
+    r = int(np.argmin(ok))
+    label = name if len(weights) == 1 else f"{name}[{r}]"
+    row, tail = weights[r], float(tails[r])
+    if not np.isfinite(row).all():
+        j = int(np.argmin(np.isfinite(row)))
+        reason = f"weight {j} is {float(row[j])!r}, not finite"
+    elif not np.isfinite(tail):
+        reason = f"tail={tail!r} is not finite"
+    elif row.min(initial=0.0) < -tol:
+        j = int(np.argmin(row))
+        reason = f"weight {j} is {float(row[j])!r}, negative beyond {tol}"
+    elif tail < -tol:
+        reason = f"tail={tail!r} is negative beyond {tol}"
     else:
-        relation = Relation.INCOMPARABLE
-    if relation is Relation.RIGHT_MAJORIZES:
-        worst, at = right, i_right
-    elif relation is Relation.LEFT_MAJORIZES:
-        worst, at = left, i_left
-    elif left <= right and relation is Relation.EQUIVALENT:
-        worst, at = left, i_left
-    elif relation is Relation.EQUIVALENT:
-        worst, at = right, i_right
-    else:  # incomparable: report the near-miss direction
-        worst, at = (left, i_left) if left >= right else (right, i_right)
-    return MajorizationVerdict(relation, worst, at, left, right)
+        reason = f"weights+tail={float(totals[r])!r} differs from 1 by more than {tol}"
+    raise NormalizationError(f"{label}: {reason}")
+
+
+def prefix_sums(weights: np.ndarray, tails: np.ndarray, sort: bool,
+                name: str) -> np.ndarray:
+    """Validate each row (see check_rows) and return its prefix sums, taken
+    over the descending-sorted row when sort is set, else in Fock order."""
+    check_rows(weights, tails, name)
+    if sort:
+        weights = np.sort(weights, axis=1)[:, ::-1]
+    return np.cumsum(weights, axis=1)
+
+
+def decide(margins: np.ndarray, tol_eff: np.ndarray) -> VerdictStack:
+    """Verdicts from prefix margins (left minus right prefix sums), one row
+    per pair, each row against its own effective tolerance.
+
+    worst_slack is the most negative margin along the direction that
+    decided the verdict; equivalent pairs report the smaller of the two
+    directions, incomparable pairs the near miss (the larger one).
+    """
+    i_left = margins.argmin(axis=1)
+    i_right = margins.argmax(axis=1)
+    left = margins.min(axis=1)
+    right = -margins.max(axis=1)
+    floor = -tol_eff
+    left_ok = left >= floor
+    right_ok = right >= floor
+    codes = _CODES[left_ok.view(np.int8), right_ok.view(np.int8)]
+    use_left = np.where(left_ok == right_ok,
+                        np.where(left_ok, left <= right, left >= right), left_ok)
+    return VerdictStack(codes, np.where(use_left, left, right),
+                        np.where(use_left, i_left, i_right), left, right)
+
+
+def compare_stack(P: np.ndarray, Q: np.ndarray, p_tails: np.ndarray,
+                  q_tails: np.ndarray, tol: float = DEFAULT_TOL,
+                  sort: bool = True) -> VerdictStack:
+    """Compare row r of P against row r of Q for every r at once.
+
+    P and Q are 2-D stacks of equal-length distributions and the tails
+    their per-row truncated masses. Prefix sums are taken over sorted rows
+    (majorization) or in Fock order (sort=False). Each row's tolerance is
+    inflated by both tail masses, tol + p_tail + q_tail, so that truncation
+    can never flip a verdict silently. Raises NormalizationError if a row
+    is not a finite distribution within 1e-12.
+    """
+    margins = prefix_sums(P, p_tails, sort, "p") - prefix_sums(Q, q_tails, sort, "q")
+    return decide(margins, tol + p_tails + q_tails)
+
+
+def _compare_pair(p: FockDiagonalState, q: FockDiagonalState, tol: float,
+                  sort: bool) -> MajorizationVerdict:
+    pair = np.zeros((2, max(len(p.weights), len(q.weights))))
+    pair[0, :len(p.weights)] = p.weights
+    pair[1, :len(q.weights)] = q.weights
+    tails = np.array([p.tail, q.tail])
+    return compare_stack(pair[:1], pair[1:], tails[:1], tails[1:], tol, sort).verdict(0)
 
 
 def majorize_compare(p: FockDiagonalState, q: FockDiagonalState,
                      tol: float = DEFAULT_TOL) -> MajorizationVerdict:
-    """Compare descending-sorted prefix sums of p against q.
+    """Compare descending-sorted prefix sums of p against q: a one-row
+    compare_stack, the shorter state zero-padded.
 
     The tolerance is inflated by both tail masses so that truncation can
     never flip a verdict silently. Raises NormalizationError if either
-    state is off normalization by more than 1e-12.
+    state is not a finite distribution within 1e-12.
     """
-    p.check_normalized()
-    q.check_normalized()
-    wp, wq = _padded_pair(p, q)
-    wp = np.sort(wp)[::-1]
-    wq = np.sort(wq)[::-1]
-    return _prefix_verdict(wp, wq, tol + p.tail + q.tail)
+    return _compare_pair(p, q, tol, sort=True)
 
 
 def fock_compare(p: FockDiagonalState, q: FockDiagonalState,
                  tol: float = DEFAULT_TOL) -> MajorizationVerdict:
     """Unsorted variant: prefix sums taken in Fock-index order."""
-    p.check_normalized()
-    q.check_normalized()
-    wp, wq = _padded_pair(p, q)
-    return _prefix_verdict(wp, wq, tol + p.tail + q.tail)
+    return _compare_pair(p, q, tol, sort=False)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,183 @@
+"""The batched verdict engine and the batched passive-path scan against
+per-pair references: the pure-Python prefix-sum reference, and a copy of
+the per-pattern scan (one pattern output and one verdict per check)."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fockladder import (BinaryPattern, FockDiagonalState, NormalizationError,
+                        Relation, abgx, conjecture_scan, fock_compare,
+                        grid_recurrence, majorize_compare, passive_path,
+                        standard_grid)
+from fockladder.majorization import compare_stack
+
+from prefix_reference import (prefix_margins, reference_verdict,
+                              verdict_from_margins)
+
+# a small alphabet makes ties within and across rows common
+WEIGHTS = st.sampled_from([0.0, 0.1, 0.125, 0.2, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+TAILS = st.sampled_from([0.0, 0.0, 1e-13, 1e-11, 0.25])
+
+
+@st.composite
+def distributions(draw, max_len):
+    raw = draw(st.lists(WEIGHTS, min_size=1, max_size=max_len))
+    if sum(raw) == 0.0:
+        raw[0] = 1.0
+    tail = draw(TAILS)
+    total = sum(raw)
+    return [x / total * (1.0 - tail) for x in raw], tail
+
+
+@st.composite
+def stacks(draw):
+    width = draw(st.integers(1, 9))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        p = draw(distributions(width))
+        q = p if draw(st.integers(0, 3)) == 0 else draw(distributions(width))
+        rows.append((p, q))
+    return width, rows
+
+
+def _padded(rows, width):
+    out = np.zeros((len(rows), width))
+    for r, weights in enumerate(rows):
+        out[r, :len(weights)] = weights
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacks(), st.sampled_from([1e-12, 0.0, 0.05, -1.0]), st.booleans())
+def test_compare_stack_matches_reference_row_by_row(stack, tol, sort):
+    width, rows = stack
+    got = compare_stack(_padded([p for (p, _), _ in rows], width),
+                        _padded([q for _, (q, _) in rows], width),
+                        np.array([tp for (_, tp), _ in rows]),
+                        np.array([tq for _, (_, tq) in rows]), tol, sort)
+    single = majorize_compare if sort else fock_compare
+    for r, ((p, tp), (q, tq)) in enumerate(rows):
+        want = reference_verdict(p, q, tp, tq, tol, sort)
+        v = got.verdict(r)
+        assert (v.relation, v.worst_slack, v.at_index, v.left_slack, v.right_slack) == want
+        assert single(FockDiagonalState.from_weights(p, tp),
+                      FockDiagonalState.from_weights(q, tq), tol) == v
+
+
+@pytest.mark.parametrize("weights, tail, condition", [
+    ([np.nan, 1.0], 0.0, "not finite"),
+    ([np.inf, 1.0], 0.0, "not finite"),
+    ([-np.inf, 1.0], 0.0, "not finite"),
+    ([0.5, 0.5], np.nan, "tail=nan is not finite"),
+    ([0.5, 0.5], np.inf, "tail=inf is not finite"),
+    ([-0.5, 1.5], 0.0, "weight 0 is -0.5, negative"),
+    ([0.5, 0.6], -0.1, "tail=-0.1 is negative"),
+    ([0.5, 0.4], 0.0, "weights+tail=0.9"),
+])
+def test_normalization_error_names_the_condition(weights, tail, condition):
+    bad = FockDiagonalState.from_weights(weights, tail)
+    good = FockDiagonalState.from_weights([1.0, 0.0])
+    for compare in (majorize_compare, fock_compare):
+        with pytest.raises(NormalizationError, match="^q: .*" + condition.replace("+", r"\+")):
+            compare(good, bad)
+    with pytest.raises(NormalizationError, match=r"^p\[1\]: "):
+        compare_stack(np.array([[1.0, 0.0], list(weights)]), np.array([[1.0, 0.0]] * 2),
+                      np.array([0.0, tail]), np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# The per-pattern scan, as it was before the batched engine: passive paths
+# rebuilt per pattern, one output per compared pattern, one verdict per
+# distinct pair. Margins do not depend on tol, so they are cached across
+# the tolerances tested on a grid.
+# ---------------------------------------------------------------------------
+
+def _path(bits):
+    path = [bits]
+    while list(bits) != sorted(bits, reverse=True):
+        for core_len in range(len(bits) - 1, -1, -1):
+            step = bits[:core_len] + tuple(sorted(bits[core_len:], reverse=True))
+            if step != bits:
+                bits = step
+                path.append(bits)
+                break
+    return path
+
+
+def _energy(bits):
+    ones = [i for i, b in enumerate(bits) if b]
+    return sum(ones) / len(ones)
+
+
+def _output(grid, bits):
+    ones = [i for i, b in enumerate(bits) if b]
+    return (grid.rows[ones].sum(axis=0) / len(ones),
+            float(grid.tails[ones].sum()) / len(ones))
+
+
+def _label(bits):
+    return "".join(map(str, bits))
+
+
+def per_pattern_scan(grid, length, tol, margins):
+    def compare(left, right):
+        (p, tp), (q, tq) = _output(grid, left), _output(grid, right)
+        if (left, right) not in margins:
+            margins[left, right] = prefix_margins(p, q, sort=True)
+        return verdict_from_margins(*margins[left, right], tol + tp + tq)
+
+    holds = (Relation.EQUIVALENT, Relation.LEFT_MAJORIZES)
+    violations = []
+    worst = np.inf
+    n_swap = n_patterns = n_steps = 0
+    if length >= 3:
+        for core in itertools.product((0, 1), repeat=length - 3):
+            relation, slack, _, left_slack, _ = compare(core + (1, 1, 0), core + (0, 1, 1))
+            n_swap += 1
+            worst = min(worst, left_slack)
+            if relation not in holds:
+                violations.append({"check": "swap", "pattern": _label(core + (0, 1, 1)),
+                                   "relation": relation.value, "slack": slack})
+    for bits in itertools.product((0, 1), repeat=length):
+        if sum(bits) < 2:
+            continue
+        n_patterns += 1
+        path = _path(bits)
+        for cur, nxt in zip(path, path[1:]):
+            if _energy(nxt) > _energy(cur):
+                violations.append({"check": "path-energy", "pattern": _label(cur),
+                                   "next": _label(nxt)})
+            relation, slack, _, left_slack, _ = compare(nxt, cur)
+            n_steps += 1
+            worst = min(worst, left_slack)
+            if relation not in holds:
+                violations.append({"check": "path", "pattern": _label(cur),
+                                   "next": _label(nxt), "relation": relation.value,
+                                   "slack": slack})
+    return (n_patterns, n_swap, n_steps, float(worst) if np.isfinite(worst) else 0.0,
+            violations)
+
+
+@pytest.mark.parametrize("spec", standard_grid(), ids=lambda s: s.label())
+def test_batched_scan_matches_per_pattern_scan(spec):
+    grid = grid_recurrence(abgx(spec), 7)
+    margins = {}
+    for length in range(2, 9):
+        for tol in (1e-12, -1.0):  # at tol=-1.0 every check fails and is listed
+            rep = conjecture_scan(spec, length, tol, grid=grid)
+            got = (rep.n_patterns, rep.n_swap_checks, rep.n_chain_steps,
+                   rep.worst_slack, list(rep.violations))
+            assert got == per_pattern_scan(grid, length, tol, margins)
+            if tol < 0:
+                assert len(rep.violations) == rep.n_swap_checks + rep.n_chain_steps
+
+
+def test_passive_path_matches_per_pattern_definition():
+    for length in range(1, 9):
+        for bits in itertools.product((0, 1), repeat=length):
+            if sum(bits):
+                assert [p.bits for p in passive_path(BinaryPattern(bits))] == _path(bits)

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -130,6 +133,47 @@ def test_majorize_unordered(capsys, monkeypatch):
                            stdin=json.dumps({"p": [0.9, 0.1], "q": [0.1, 0.9]}))
     assert code == 0
     assert json.loads(out)["relation"] == "left_majorizes"
+
+
+@pytest.mark.parametrize("argv", [
+    ["conjecture", "--family", "lossy", "--eta", "0.5", "--N", "1", "--length", "1"],
+    ["conjecture", "--family", "lossy", "--eta", "0.5", "--N", "1", "--length", "-2"],
+    ["ladder", "--family", "lossy", "--eta", "0.5", "--N", "1", "--imax", "-3"],
+    ["mixture", "--family", "amp", "--g", "2", "--N", "0", "--k", "-1",
+     "--weights", "0.5,0.5"],
+    ["mixture", "--family", "amp", "--g", "2", "--N", "0", "--k", "-1",
+     "--weights", "0.5,0.5", "--mode", "lowest"],
+], ids=["length1", "length-2", "imax-3", "k-1-shift", "k-1-lowest"])
+def test_out_of_domain_experiment_input_exits_2(capsys, monkeypatch, argv):
+    code, out, err = run_cli(capsys, monkeypatch, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "violates" in err
+
+
+@pytest.mark.parametrize("payload", [
+    '{"p":[NaN,1],"q":[1,0]}',
+    '{"p":[Infinity,0],"q":[1,0]}',
+    '{"p":[-0.5,1.5],"q":[1,0]}',
+    '{"p":[1,0],"q":[1,0],"q_tail":NaN}',
+])
+def test_majorize_rejects_non_distributions(capsys, monkeypatch, payload):
+    code, out, err = run_cli(capsys, monkeypatch, ["majorize"], stdin=payload)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_majorize_nan_exits_2_without_traceback():
+    import fockladder
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(fockladder.__file__)))
+    done = subprocess.run([sys.executable, "-m", "fockladder.cli", "majorize"],
+                          input='{"p":[NaN,1],"q":[1,0]}', capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert "not finite" in done.stderr
 
 
 def test_ladder_passes(capsys, monkeypatch):

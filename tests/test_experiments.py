@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fockladder import (BinaryPattern, FockDiagonalState, Relation, abgx,
+from fockladder import (BinaryPattern, DomainError, FockDiagonalState, Relation, abgx,
                         conjecture_scan, counterexample_search, fock_compare,
                         grid_recurrence, ladder_verify, make_channel,
                         make_counterexample_corpus, mixture_shift_check,
@@ -108,6 +108,30 @@ def test_conjecture_scan_counts_and_pass():
 def test_conjecture_scan_rejects_long_patterns():
     with pytest.raises(ValueError):
         conjecture_scan(make_channel("noise", added_n=1.0), 17)
+
+
+@pytest.mark.parametrize("length", [1, 0, -2, 17])
+def test_conjecture_scan_length_domain(length):
+    with pytest.raises(DomainError, match="length"):
+        conjecture_scan(make_channel("noise", added_n=1.0), length)
+
+
+def test_conjecture_scan_length_two_counts_its_single_pattern():
+    rep = conjecture_scan(make_channel("noise", added_n=1.0), 2)
+    assert (rep.n_patterns, rep.n_swap_checks, rep.n_chain_steps) == (1, 0, 0)
+    assert rep.passed and rep.worst_slack == 0.0
+
+
+@pytest.mark.parametrize("i_max", [0, -3])
+def test_ladder_rejects_empty_chain(i_max):
+    with pytest.raises(DomainError, match="i_max"):
+        ladder_verify(make_channel("lossy", eta=0.5, thermal_N=1.0), i_max)
+
+
+@pytest.mark.parametrize("check", [mixture_shift_check, mixture_vs_lowest_fock])
+def test_mixture_rejects_negative_shift(check):
+    with pytest.raises(DomainError, match="k"):
+        check(make_channel("amp", g=2.0, thermal_N=0.0), [0.5, 0.5], -1)
 
 
 def test_conjecture_scan_deterministic():
