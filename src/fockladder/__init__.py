@@ -18,7 +18,6 @@ from .experiments import (BinaryPattern, ConjectureReport, FindingsReport,
                           ladder_verify, make_counterexample_corpus,
                           mixture_shift_check, mixture_vs_lowest_fock,
                           passive_path, standard_grid)
-from .kernels import backend as kernel_backend
 from .majorization import (FockDiagonalState, LadderMatrix, MajorizationVerdict,
                            Relation, StochasticityReport, apply_D_power,
                            build_D, check_column_stochastic, fock_compare,
@@ -37,7 +36,6 @@ __all__ = [
     "conjecture_scan", "counterexample_search", "ladder_verify",
     "make_counterexample_corpus", "mixture_shift_check",
     "mixture_vs_lowest_fock", "passive_path", "standard_grid",
-    "kernel_backend",
     "FockDiagonalState", "LadderMatrix", "MajorizationVerdict", "Relation",
     "StochasticityReport", "apply_D_power", "build_D",
     "check_column_stochastic", "fock_compare", "majorize_compare", "mix",

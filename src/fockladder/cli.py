@@ -10,6 +10,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -282,14 +283,14 @@ def _cmd_entropy(args) -> int:
         order = float(args.order)
     grid = grid_recurrence(abgx(_spec_from_args(args)), args.imax, args.tail_tol)
     report = entropy_mod.chain_check(grid, order)
-    scale = 1.0 / math.log(2.0) if args.bits else 1.0
+    if args.bits:
+        scale = 1.0 / math.log(2.0)
+        report = dataclasses.replace(report, values=report.values * scale,
+                                     worst_violation=report.worst_violation * scale)
     if args.format == "csv":
-        lines = ["i,entropy"] + [f"{i},{v * scale:.17g}"
-                                 for i, v in enumerate(report.values)]
-        text = "\n".join(lines) + "\n"
+        text = report.to_csv()
     else:
         payload = report.to_json_dict()
-        payload["values"] = [v * scale for v in payload["values"]]
         payload["units"] = "bits" if args.bits else "nats"
         text = _emit_json(payload)
     _write(text, args.out)

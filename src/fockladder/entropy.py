@@ -30,9 +30,9 @@ def renyi(p: FockDiagonalState, order: float) -> float:
     """Renyi entropy of the given order: ln(sum p**order) / (1-order).
 
     order=1 delegates to shannon, order=0 gives the log support size,
-    order=inf gives -ln(max p). Negative orders are out of domain.
+    order=inf gives -ln(max p). Negative and NaN orders are out of domain.
     """
-    if order < 0:
+    if not order >= 0:
         raise DomainError("order", order, "order >= 0")
     w = p.weights[p.weights > ZERO_FLOOR]
     if order == 1:

@@ -139,6 +139,7 @@ def mixture_shift_check(spec: ChannelSpec, coeffs, k: int, tol: float = 1e-12,
     params = grid.params
     p = _output_of_mixture(grid, coeffs)
     q = _output_of_mixture(grid, coeffs, offset=k)
+    verdict = majorize_compare(p, q, tol)  # first, so it rejects a non-finite tol
     if k > 0:
         w = p.weights.copy()
         for _ in range(k):
@@ -147,7 +148,7 @@ def mixture_shift_check(spec: ChannelSpec, coeffs, k: int, tol: float = 1e-12,
         if err > tol:
             raise WitnessError(
                 f"D^{k} image deviates from the shifted output by {err:.3e}")
-    return majorize_compare(p, q, tol)
+    return verdict
 
 
 def mixture_vs_lowest_fock(spec: ChannelSpec, coeffs, k: int, tol: float = 1e-12,
@@ -165,6 +166,7 @@ def mixture_vs_lowest_fock(spec: ChannelSpec, coeffs, k: int, tol: float = 1e-12
     params = grid.params
     p = FockDiagonalState.from_grid_row(grid, k)
     q = _output_of_mixture(grid, coeffs, offset=k)
+    verdict = majorize_compare(p, q, tol)  # first, so it rejects a non-finite tol
     v = p.weights.copy()
     acc = coeffs[0] * v
     for ci in coeffs[1:]:
@@ -174,7 +176,7 @@ def mixture_vs_lowest_fock(spec: ChannelSpec, coeffs, k: int, tol: float = 1e-12
     if err > tol:
         raise WitnessError(
             f"convex-combination image deviates from the mixture output by {err:.3e}")
-    return majorize_compare(p, q, tol)
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +373,7 @@ def _decide_plan(grid: TransitionGrid, plan: _ScanPlan, tol: float):
         left = plan.next_row[first + right] - first
         for lo in range(0, len(right), chunk_rows):
             a, b = left[lo:lo + chunk_rows], right[lo:lo + chunk_rows]
-            v = decide(prefix[a] - prefix[b], tol + tails[a] + tails[b])
+            v = decide(prefix[a] - prefix[b], tol, tails[a], tails[b])
             relation[first + b] = v.codes
             worst[first + b] = v.worst_slack
             left_slack[first + b] = v.left_slack

@@ -1,20 +1,59 @@
-"""Kernel backend selection.
+"""The two photon-number kernels, both written on one geometric scan.
 
-Prefers the compiled extension, falls back to the pure-Python twins.
-Set FOCKLADDER_PURE_PYTHON=1 to force the fallback (used by the kernel
-equivalence tests and the benchmark).
+Each kernel is the first-order linear recurrence y[n] = x[n] + beta*y[n-1]
+applied to a different input: the recurrence fill scans every grid row,
+and the ladder matvec scans its shifted input vector.
 """
 
-import os
+import numpy as np
 
-if os.environ.get("FOCKLADDER_PURE_PYTHON"):
-    from . import _kernels_py as _impl
-else:
-    try:
-        from . import _kernels_c as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _impl
 
-recurrence_grid = _impl.recurrence_grid
-ladder_matvec = _impl.ladder_matvec
-backend = _impl.BACKEND
+def geometric_scan(beta, x):
+    """Return y[n] = sum_{m<=n} beta**m * x[n-m], i.e. y[n] = x[n] + beta*y[n-1].
+
+    Doubling (Hillis-Steele) scan: after the step with stride s, y[n] sums
+    the terms m < 2s. Each factor is one pow, beta**s, because repeated
+    squaring compounds its rounding into the row sums. The scan stops once
+    the factor underflows to zero, since every later term is zero too.
+    """
+    y = np.array(x, dtype=np.float64)
+    s = 1
+    while s < len(y):
+        b = beta ** s
+        if b == 0.0:
+            break
+        y[s:] += b * y[:-s]
+        s *= 2
+    return y
+
+
+def recurrence_grid(alpha, beta, gamma, chi, i_max, n_max):
+    """Fill the transition table T[i][n] for 0 <= i <= i_max, 0 <= n <= n_max.
+
+    T[0][0] = chi, T[i][n] = alpha*T[i-1][n] + beta*T[i][n-1]
+    + gamma*T[i-1][n-1], with out-of-range entries treated as zero. Row i
+    is the scan of alpha*T[i-1][n] + gamma*T[i-1][n-1].
+    """
+    rows = np.zeros((i_max + 1, n_max + 1), dtype=np.float64)
+    rows[0, 0] = chi
+    rows[0] = geometric_scan(beta, rows[0])
+    for i in range(1, i_max + 1):
+        x = alpha * rows[i - 1]
+        x[1:] += gamma * rows[i - 1, :-1]
+        rows[i] = geometric_scan(beta, x)
+    return rows
+
+
+def ladder_matvec(alpha, beta, nu, v, out_len):
+    """Apply the banded lower-triangular ladder matrix to v.
+
+    out[k] = alpha*v[k] + nu * sum_{m>=1} beta**(m-1) * v[k-m], with v
+    zero-padded or cut to out_len entries; the sum is the scan of v
+    shifted down by one.
+    """
+    v = np.asarray(v, dtype=np.float64)[:out_len]
+    shifted = np.zeros(out_len)
+    shifted[1:len(v) + 1] = v[:out_len - 1]
+    out = nu * geometric_scan(beta, shifted)
+    out[:len(v)] += alpha * v
+    return out

@@ -15,12 +15,13 @@ distribution for input Fock state i-1 onto the one for input i.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelParams
-from .errors import NormalizationError
+from .errors import DomainError, NormalizationError
 from .kernels import ladder_matvec
 
 NORMALIZATION_TOL = 1e-12
@@ -179,19 +180,25 @@ def prefix_sums(weights: np.ndarray, tails: np.ndarray, sort: bool,
     return np.cumsum(weights, axis=1)
 
 
-def decide(margins: np.ndarray, tol_eff: np.ndarray) -> VerdictStack:
+def decide(margins: np.ndarray, tol: float, p_tails: np.ndarray,
+           q_tails: np.ndarray) -> VerdictStack:
     """Verdicts from prefix margins (left minus right prefix sums), one row
-    per pair, each row against its own effective tolerance.
+    per pair, each row against its own effective tolerance tol + p_tail +
+    q_tail. Every verdict is decided here, so this is where a NaN or
+    infinite tol, which would decide every pair vacuously, raises
+    DomainError; a finite negative tol is legal and only tightens the test.
 
     worst_slack is the most negative margin along the direction that
     decided the verdict; equivalent pairs report the smaller of the two
     directions, incomparable pairs the near miss (the larger one).
     """
+    if not math.isfinite(tol):
+        raise DomainError("tol", tol, "a finite tolerance")
     i_left = margins.argmin(axis=1)
     i_right = margins.argmax(axis=1)
     left = margins.min(axis=1)
     right = -margins.max(axis=1)
-    floor = -tol_eff
+    floor = -(tol + p_tails + q_tails)
     left_ok = left >= floor
     right_ok = right >= floor
     codes = _CODES[left_ok.view(np.int8), right_ok.view(np.int8)]
@@ -211,10 +218,11 @@ def compare_stack(P: np.ndarray, Q: np.ndarray, p_tails: np.ndarray,
     (majorization) or in Fock order (sort=False). Each row's tolerance is
     inflated by both tail masses, tol + p_tail + q_tail, so that truncation
     can never flip a verdict silently. Raises NormalizationError if a row
-    is not a finite distribution within 1e-12.
+    is not a finite distribution within 1e-12, and DomainError if tol is
+    NaN or infinite.
     """
     margins = prefix_sums(P, p_tails, sort, "p") - prefix_sums(Q, q_tails, sort, "q")
-    return decide(margins, tol + p_tails + q_tails)
+    return decide(margins, tol, p_tails, q_tails)
 
 
 def _compare_pair(p: FockDiagonalState, q: FockDiagonalState, tol: float,
@@ -412,17 +420,3 @@ def apply_D_power(params: ChannelParams, k: int, v: FockDiagonalState,
     tail = max(0.0, 1.0 - float(w.sum()))
     return FockDiagonalState.from_weights(w, tail)
 
-
-def convex_power_combination_column(params: ChannelParams, coeffs, col: int,
-                                    out_len: int) -> np.ndarray:
-    """Column `col` of sum_i coeffs[i] * D**i, via powers applied to a basis
-    vector. Supports the convexity witness: the combination stays
-    column-stochastic, so interior columns sum to 1."""
-    c = np.asarray(coeffs, dtype=np.float64)
-    v = np.zeros(out_len)
-    v[col] = 1.0
-    acc = c[0] * v
-    for ci in c[1:]:
-        v = ladder_matvec(params.alpha, params.beta, params.nu, v, out_len)
-        acc = acc + ci * v
-    return acc

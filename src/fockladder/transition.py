@@ -7,7 +7,7 @@ is equivalent to the two-index recurrence
     T[i][n] = alpha*T[i-1][n] + beta*T[i][n-1] + gamma*T[i-1][n-1],
 
 seeded by T[0][0] = chi. ``grid_recurrence`` runs that recurrence (the
-production path, backed by the compiled kernel). Two independent oracles
+production path, one geometric scan per row). Two independent oracles
 recompute single rows: ``row_multinomial`` evaluates the closed-form
 trinomial-expansion sum, and ``row_series`` extracts coefficients of
 h(x, z) by iterated truncated polynomial multiplication of geometric
@@ -24,7 +24,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from .channel import ChannelParams, ChannelSpec, Family, abgx
-from .errors import TruncationError
+from .errors import DomainError, TruncationError
 from .kernels import recurrence_grid
 
 HARD_CAP = 20000          # absolute photon-number cutoff
@@ -85,11 +85,14 @@ def grid_recurrence(params: ChannelParams, i_max: int,
 
     The cutoff starts at the geometric-envelope estimate and doubles until
     every row's tail is at most tail_tol. Passing n_max explicitly skips
-    adaptation (tails are then whatever they are). Raises TruncationError
-    if the cap would be exceeded before meeting tail_tol.
+    adaptation (tails are then whatever they are). Raises DomainError for
+    a negative index or a tail_tol that is not finite and positive, and
+    TruncationError if the cap would be exceeded before meeting tail_tol.
     """
-    if tail_tol <= 0:
-        raise ValueError("tail_tol must be positive")
+    if not 0.0 < tail_tol < math.inf:
+        raise DomainError("tail_tol", tail_tol, "0 < tail_tol < inf")
+    if i_max < 0 or (n_max is not None and n_max < 0):
+        raise DomainError("i_max/n_max", (i_max, n_max), "non-negative indices")
     adaptive = n_max is None
     if adaptive:
         n_max = min(_initial_cutoff(params.beta, i_max, tail_tol), hard_cap)

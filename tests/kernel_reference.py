@@ -1,13 +1,11 @@
-"""Pure-Python twins of the compiled kernels.
+"""Reference loops for the two kernels in fockladder.kernels.
 
-Same arithmetic, same evaluation order as ``_kernels_c.pyx`` so that both
-backends produce bit-identical results (the extension is compiled with
-FP contraction disabled).
+Plain element-by-element evaluation of the recurrence and the ladder
+matvec, written independently of the geometric scan, so the tests can
+compare the vectorized kernels against them.
 """
 
 import numpy as np
-
-BACKEND = "python"
 
 
 def recurrence_grid(alpha, beta, gamma, chi, i_max, n_max):

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockladder import (BinaryPattern, FockDiagonalState, NormalizationError,
-                        Relation, abgx, conjecture_scan, fock_compare,
-                        grid_recurrence, majorize_compare, passive_path,
-                        standard_grid)
+from fockladder import (BinaryPattern, DomainError, FockDiagonalState,
+                        NormalizationError, Relation, abgx, conjecture_scan,
+                        fock_compare, grid_recurrence, majorize_compare,
+                        passive_path, standard_grid)
 from fockladder.majorization import compare_stack
 
 from prefix_reference import (prefix_margins, reference_verdict,
@@ -87,6 +87,21 @@ def test_normalization_error_names_the_condition(weights, tail, condition):
     with pytest.raises(NormalizationError, match=r"^p\[1\]: "):
         compare_stack(np.array([[1.0, 0.0], list(weights)]), np.array([[1.0, 0.0]] * 2),
                       np.array([0.0, tail]), np.zeros(2))
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+def test_non_finite_tol_raises_domain_error(tol):
+    # NaN would make every verdict incomparable, +inf every pair equivalent
+    p = FockDiagonalState.from_weights([1.0, 0.0])
+    for compare in (majorize_compare, fock_compare):
+        with pytest.raises(DomainError, match="tol="):
+            compare(p, p, tol)
+    with pytest.raises(DomainError, match="tol="):
+        compare_stack(np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]]),
+                      np.zeros(1), np.zeros(1), tol)
+    grid = grid_recurrence(abgx(standard_grid()[0]), 3)
+    with pytest.raises(DomainError, match="tol="):
+        conjecture_scan(standard_grid()[0], 4, tol, grid=grid)
 
 
 # ---------------------------------------------------------------------------

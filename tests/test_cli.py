@@ -176,6 +176,45 @@ def test_majorize_nan_exits_2_without_traceback():
     assert "not finite" in done.stderr
 
 
+OUT_OF_DOMAIN_ARGV = {
+    "majorize-tol-nan": (["majorize", "--tol", "nan"], "tol=nan"),
+    "majorize-tol-inf": (["majorize", "--tol", "inf"], "tol=inf"),
+    "majorize-tol-minus-inf": (["majorize", "--tol=-inf"], "tol=-inf"),
+    "ladder-tol-nan": (["ladder", "--family", "lossy", "--eta", "0.5", "--N", "1",
+                        "--imax", "3", "--tol", "nan"], "tol=nan"),
+    "mixture-tol-minus-inf": (["mixture", "--family", "amp", "--g", "2", "--N", "0",
+                               "--weights", "0.5,0.5", "--tol=-inf"], "tol=-inf"),
+    "mixture-lowest-tol-minus-inf": (["mixture", "--family", "amp", "--g", "2", "--N", "0",
+                                      "--weights", "0.5,0.5", "--mode", "lowest",
+                                      "--tol=-inf"], "tol=-inf"),
+    "conjecture-tol-nan": (["conjecture", "--family", "lossy", "--eta", "0.5",
+                            "--N", "1", "--length", "3", "--tol", "nan"], "tol=nan"),
+    "grid-tail-tol-inf": (["grid", "--family", "lossy", "--eta", "0.5", "--N", "1",
+                           "--tail-tol", "inf"], "tail_tol=inf"),
+    "grid-tail-tol-nan": (["grid", "--family", "lossy", "--eta", "0.5", "--N", "1",
+                           "--tail-tol", "nan"], "tail_tol=nan"),
+    "grid-nmax-negative": (["grid", "--family", "lossy", "--eta", "0.5", "--N", "1",
+                            "--nmax", "-1"], "n_max"),
+    "entropy-order-nan": (["entropy", "--family", "lossy", "--eta", "0.5", "--N", "1",
+                           "--imax", "3", "--order", "nan"], "order=nan"),
+}
+
+
+@pytest.mark.parametrize("argv, named", OUT_OF_DOMAIN_ARGV.values(),
+                         ids=OUT_OF_DOMAIN_ARGV)
+def test_non_finite_or_negative_input_exits_2_without_traceback(argv, named):
+    import fockladder
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(fockladder.__file__)))
+    done = subprocess.run([sys.executable, "-m", "fockladder.cli", *argv],
+                          input='{"p":[1,0],"q":[1,0]}', capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") and named in done.stderr
+
+
 def test_ladder_passes(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, monkeypatch,
                            ["ladder", "--family", "amp", "--g", "2", "--N", "0",
@@ -200,6 +239,23 @@ def test_entropy_csv_and_bits(capsys, monkeypatch):
     s1_bits = float(bits.strip().split("\n")[2].split(",")[1])
     assert s1_bits == pytest.approx(s1_nats / math.log(2), rel=1e-12)
     assert s1_bits == pytest.approx(1.0, abs=1e-12)  # fair coin in bits
+
+
+def test_entropy_bits_scales_worst_violation(capsys, monkeypatch):
+    import math
+    argv = ["entropy", "--family", "lossy", "--eta", "0.5", "--N", "0", "--imax", "2"]
+    code, nats, _ = run_cli(capsys, monkeypatch, argv)
+    code_bits, bits, _ = run_cli(capsys, monkeypatch, argv + ["--bits"])
+    nats, bits = json.loads(nats), json.loads(bits)
+    assert code == code_bits
+    assert (nats["units"], bits["units"]) == ("nats", "bits")
+    # S_0 = 0, S_1 = ln 2 (fair coin), S_2 = 1.5 ln 2: the largest step
+    # S_i - S_{i+1} is S_1 - S_2 = -ln(2)/2 nats, which is -0.5 bits
+    assert bits["worst_violation"] == pytest.approx(nats["worst_violation"] / math.log(2),
+                                                    rel=1e-12)
+    assert bits["worst_violation"] == pytest.approx(-0.5, abs=1e-12)
+    assert bits["values"] == pytest.approx([v / math.log(2) for v in nats["values"]],
+                                           rel=1e-12)
 
 
 def test_mixture_subcommand(capsys, monkeypatch):

@@ -40,8 +40,9 @@ def test_renyi_limits_and_specials():
     assert renyi(p, 1.0) == shannon(p)
     assert renyi(p, 0.0) == pytest.approx(math.log(3), abs=1e-15)
     assert renyi(p, math.inf) == pytest.approx(-math.log(0.5), abs=1e-15)
-    with pytest.raises(DomainError):
-        renyi(p, -1.0)
+    for order in (-1.0, math.nan):
+        with pytest.raises(DomainError):
+            renyi(p, order)
 
 
 def test_renyi_inf_on_vacuum_row_is_minus_log_chi():

@@ -1,61 +1,103 @@
-"""The compiled kernels and the pure-Python twins must agree bit for bit
-(the extension is built with FP contraction disabled)."""
+"""The geometric-scan kernels against the element-by-element reference
+loops in kernel_reference.py.
+
+The scan sums in a different order from the loops, so entries may differ
+by rounding: ATOL is a few ulps of 1, the bound on every entry here.
+"""
 
 import numpy as np
 import pytest
 
-from fockladder import _kernels_py
-from fockladder import abgx, make_channel
+import kernel_reference
+from fockladder import abgx, grid_recurrence, kernels, make_channel, standard_grid
+from fockladder.transition import HARD_CAP
 
-try:
-    from fockladder import _kernels_c
-except ImportError:
-    _kernels_c = None
+ATOL = 4 * np.finfo(np.float64).eps
 
-needs_ext = pytest.mark.skipif(_kernels_c is None,
-                               reason="compiled extension not built")
-
-PARAM_SETS = [
-    abgx(make_channel("lossy", eta=0.5, thermal_N=1.0)),
-    abgx(make_channel("amp", g=5.0, thermal_N=2.0)),
-    abgx(make_channel("conj", g=2.0, thermal_N=1.0)),
-    abgx(make_channel("noise", added_n=0.0)),
-]
+STANDARD = [abgx(spec) for spec in standard_grid()]
+STANDARD_IDS = [spec.label() for spec in standard_grid()]
 
 
-@needs_ext
-@pytest.mark.parametrize("p", PARAM_SETS)
-def test_recurrence_grid_twins_bit_identical(p):
-    a = _kernels_c.recurrence_grid(p.alpha, p.beta, p.gamma, p.chi, 25, 400)
-    b = _kernels_py.recurrence_grid(p.alpha, p.beta, p.gamma, p.chi, 25, 400)
-    assert np.array_equal(a, b)
+def test_geometric_scan_is_the_first_order_recurrence():
+    x = np.array([1.0, 2.0, 0.0, -1.0, 0.5])
+    y = kernels.geometric_scan(0.5, x)
+    expect = [1.0, 2.5, 1.25, -0.375, 0.3125]  # y[n] = x[n] + 0.5*y[n-1]
+    np.testing.assert_array_equal(y, expect)
+    np.testing.assert_array_equal(kernels.geometric_scan(0.0, x), x)
+    assert kernels.geometric_scan(0.5, np.zeros(0)).shape == (0,)
 
 
-@needs_ext
-@pytest.mark.parametrize("p", PARAM_SETS)
-def test_ladder_matvec_twins_bit_identical(p):
-    rng = np.random.default_rng(0)
-    v = rng.dirichlet(np.ones(200))
-    a = _kernels_c.ladder_matvec(p.alpha, p.beta, p.nu, v, 300)
-    b = _kernels_py.ladder_matvec(p.alpha, p.beta, p.nu, v, 300)
-    assert np.array_equal(a, b)
+@pytest.mark.parametrize("p", STANDARD, ids=STANDARD_IDS)
+def test_recurrence_grid_matches_reference(p):
+    n_max = grid_recurrence(p, 30).n_max
+    new = kernels.recurrence_grid(p.alpha, p.beta, p.gamma, p.chi, 30, n_max)
+    ref = kernel_reference.recurrence_grid(p.alpha, p.beta, p.gamma, p.chi, 30, n_max)
+    np.testing.assert_allclose(new, ref, rtol=0, atol=ATOL)
 
 
-@needs_ext
+@pytest.mark.parametrize("p", STANDARD, ids=STANDARD_IDS)
+def test_ladder_matvec_matches_reference(p):
+    v = np.random.default_rng(0).dirichlet(np.ones(200))
+    for out_len in (0, 1, 150, 200, 300):
+        new = kernels.ladder_matvec(p.alpha, p.beta, p.nu, v, out_len)
+        ref = kernel_reference.ladder_matvec(p.alpha, p.beta, p.nu, v, out_len)
+        assert new.shape == (out_len,)
+        np.testing.assert_allclose(new, ref, rtol=0, atol=ATOL)
+
+
+def test_cancelling_channel_at_the_hard_cap():
+    # gamma < 0 and beta close to 1: every row runs out to the cap, and the
+    # rows must still sum to at most 1 up to rounding
+    p = abgx(make_channel("amp", g=(1 - 0.978 * 0.3) / (1 - 0.978), thermal_N=3 / 7))
+    assert p.gamma < 0 and p.beta > 0.97
+    new = kernels.recurrence_grid(p.alpha, p.beta, p.gamma, p.chi, 60, HARD_CAP)
+    ref = kernel_reference.recurrence_grid(p.alpha, p.beta, p.gamma, p.chi, 60, HARD_CAP)
+    np.testing.assert_allclose(new, ref, rtol=0, atol=ATOL)
+    assert new.sum(axis=1).max() <= 1.0 + 1e-14
+    v = new[60]
+    for out_len in (HARD_CAP + 1, 2 * HARD_CAP):
+        np.testing.assert_allclose(
+            kernels.ladder_matvec(p.alpha, p.beta, p.nu, v, out_len),
+            kernel_reference.ladder_matvec(p.alpha, p.beta, p.nu, v, out_len),
+            rtol=0, atol=ATOL)
+
+
+def test_zero_beta():
+    grid = kernels.recurrence_grid(0.4, 0.0, 0.6, 1.0, 4, 6)
+    np.testing.assert_array_equal(
+        grid, kernel_reference.recurrence_grid(0.4, 0.0, 0.6, 1.0, 4, 6))
+    v = np.array([0.5, 0.25, 0.25])
+    for out_len in (2, 3, 5):
+        np.testing.assert_array_equal(
+            kernels.ladder_matvec(0.4, 0.0, 0.6, v, out_len),
+            kernel_reference.ladder_matvec(0.4, 0.0, 0.6, v, out_len))
+
+
 def test_ladder_matvec_accepts_readonly_input():
     v = np.array([0.5, 0.5])
     v.setflags(write=False)
-    out = _kernels_c.ladder_matvec(0.5, 0.0, 0.5, v, 4)
+    out = kernels.ladder_matvec(0.5, 0.0, 0.5, v, 4)
     np.testing.assert_allclose(out, [0.25, 0.5, 0.25, 0.0], rtol=0, atol=0)
+    out = kernels.ladder_matvec(0.5, 0.5, 0.25, v, 4)
+    np.testing.assert_array_equal(v, [0.5, 0.5])
+    np.testing.assert_allclose(
+        out, kernel_reference.ladder_matvec(0.5, 0.5, 0.25, v, 4), rtol=0, atol=ATOL)
 
 
 def test_python_kernel_matches_closed_form():
     # vacuum row of the recurrence is chi * beta**n
-    rows = _kernels_py.recurrence_grid(0.2, 0.3, 0.5, 0.7, 2, 6)
+    rows = kernels.recurrence_grid(0.2, 0.3, 0.5, 0.7, 2, 6)
     np.testing.assert_allclose(rows[0], 0.7 * 0.3 ** np.arange(7),
                                rtol=0, atol=1e-16)
 
 
-def test_backend_reported():
-    import fockladder
-    assert fockladder.kernel_backend in ("compiled", "python")
+def test_grid_is_not_built_with_the_ladder_matvec(monkeypatch):
+    # The witness D t(i-1) = t(i) checks the grid with the matvec; a grid
+    # filled by that same matvec would pass it by construction.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("recurrence_grid called ladder_matvec")
+
+    monkeypatch.setattr(kernels, "ladder_matvec", forbidden)
+    p = abgx(make_channel("conj", g=2.0, thermal_N=1.0))
+    assert grid_recurrence(p, 10).rows.shape[0] == 11
+    kernels.recurrence_grid(p.alpha, p.beta, p.gamma, p.chi, 10, 50)

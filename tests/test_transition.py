@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from fockladder import (TruncationError, abgx, analytic_special, grid_recurrence,
+from fockladder import (DomainError, TruncationError, abgx, analytic_special, grid_recurrence,
                         make_channel, row_multinomial, row_series,
                         series_rectangle)
 from fockladder.channel import ChannelParams
@@ -73,6 +73,18 @@ def test_truncation_error_at_hard_cap():
     p = abgx(make_channel("amp", g=5.0, thermal_N=2.0))
     with pytest.raises(TruncationError):
         grid_recurrence(p, 20, tail_tol=1e-10, hard_cap=64)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tail_tol": math.nan}, {"tail_tol": math.inf}, {"tail_tol": 0.0},
+    {"tail_tol": -1e-10}, {"i_max": -1}, {"n_max": -1},
+], ids=["tail_tol-nan", "tail_tol-inf", "tail_tol-0", "tail_tol-negative",
+        "i_max-negative", "n_max-negative"])
+def test_grid_recurrence_rejects_out_of_domain_input(kwargs):
+    p = abgx(make_channel("amp", g=2.0, thermal_N=1.0))
+    kwargs = {"i_max": 3, **kwargs}
+    with pytest.raises(DomainError):
+        grid_recurrence(p, **kwargs)
 
 
 def test_rows_are_immutable():
