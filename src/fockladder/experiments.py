@@ -75,27 +75,24 @@ class LadderReport:
 def ladder_verify(spec: ChannelSpec, i_max: int = 30, tol: float = 1e-12,
                   tail_tol: float = 1e-10) -> LadderReport:
     """Check that each output row majorizes the next one, for Fock inputs
-    0..i_max, and cross-check each step through the ladder matrix."""
+    0..i_max, and cross-check each step through the ladder matrix. All
+    i_max steps are decided in one compare_stack call."""
     if i_max < 1:
         raise DomainError("i_max", i_max, "i_max >= 1")
     params = abgx(spec)
     grid = grid_recurrence(params, i_max, tail_tol)
-    verdicts = []
-    worst = np.inf
+    steps = compare_stack(grid.rows[:-1], grid.rows[1:], grid.tails[:-1],
+                          grid.tails[1:], tol)
+    verdicts = tuple(steps.verdict(i) for i in range(i_max))
     witness_err = 0.0
     for i in range(i_max):
-        p = FockDiagonalState.from_grid_row(grid, i)
-        q = FockDiagonalState.from_grid_row(grid, i + 1)
-        v = majorize_compare(p, q, tol)
-        verdicts.append(v)
-        worst = min(worst, v.left_slack)
         image = ladder_matvec(params.alpha, params.beta, params.nu,
                               grid.rows[i], grid.n_max + 1)
         witness_err = max(witness_err, float(np.abs(image - grid.rows[i + 1]).max()))
     passed = all(v.holds_left for v in verdicts)
-    return LadderReport(channel=spec, i_max=i_max, verdicts=tuple(verdicts),
-                        worst_slack=float(worst), witness_max_err=witness_err,
-                        passed=passed)
+    return LadderReport(channel=spec, i_max=i_max, verdicts=verdicts,
+                        worst_slack=float(steps.left_slack.min()),
+                        witness_max_err=witness_err, passed=passed)
 
 
 # ---------------------------------------------------------------------------

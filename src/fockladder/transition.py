@@ -35,10 +35,11 @@ DEFAULT_TAIL_TOL = 1e-10  # two orders below the 1e-12 comparison tolerances
 class TransitionGrid:
     """Rows i = 0..i_max of output distributions, truncated at n_max.
 
-    tails[i] = 1 - sum(rows[i]) is the probability mass beyond n_max,
-    clamped at zero against rounding. raw_min is the most negative entry
-    produced by the recurrence before clamping (diagnostic; should never
-    fall below -1e-15).
+    An adaptive grid (see grid_recurrence) has the smallest n_max at which
+    every row keeps at least 1 - tail_tol of its mass. tails[i] =
+    1 - sum(rows[i]) is the probability mass beyond n_max, clamped at zero
+    against rounding. raw_min is the most negative entry produced by the
+    recurrence before clamping (diagnostic; should never fall below -1e-15).
     """
 
     params: ChannelParams
@@ -70,11 +71,51 @@ class TransitionGrid:
         }
 
 
-def _initial_cutoff(beta: float, i_max: int, tail_tol: float) -> int:
-    # Geometric-envelope guess: rows decay like beta**n past the bulge,
-    # with a 0.05 guard for the pre-asymptotic polynomial factor.
-    base = min(beta + 0.05, 0.999)
-    return i_max + max(8, math.ceil(math.log(tail_tol) / math.log(base)))
+# Points u in (0, 1) where the Chernoff bound is evaluated, at
+# z = 1 + u*(1/beta - 1). On the standard grid and on beta >= 0.95 channels
+# a finer grid lowers no cutoff by more than 0.1%.
+_CHERNOFF_U = (np.arange(32) + 0.5) / 32
+
+
+def _initial_cutoff(params: ChannelParams, i_max: int, tail_tol: float) -> int:
+    """Smallest n_max at which a Chernoff bound puts every row's tail at or
+    below tail_tol.
+
+    Row i has the generating function G(z) = chi*(alpha + gamma*z)**i /
+    (1 - beta*z)**(i+1) with nonnegative coefficients, so for 1 < z < 1/beta
+    its mass beyond n_max is at most G(z) * z**-(n_max+1). The ladder matrix
+    is lower-triangular and column-stochastic: it only moves mass to higher
+    n, so row i_max has the heaviest tail and its bound holds for every row.
+    alpha + gamma*z stays positive on the interval, as it is 1 - beta at
+    z = 1 and nu/beta >= 0 at z = 1/beta. With beta = 0 row i ends at n = i.
+    """
+    beta = params.beta
+    if beta == 0.0:
+        return i_max
+    # capped so that z stays finite when beta is subnormal
+    span = min((1.0 - beta) / beta, 1e300)
+    z = 1.0 + span * _CHERNOFF_U
+    log_g = (math.log(params.chi) + i_max * np.log(params.alpha + params.gamma * z)
+             - (i_max + 1) * np.log((1.0 - beta) * (1.0 - _CHERNOFF_U)))
+    columns = (log_g - math.log(tail_tol)) / np.log1p(span * _CHERNOFF_U)
+    return max(0, math.ceil(float(columns.min())) - 1)
+
+
+def _trim(rows: np.ndarray, tails: np.ndarray,
+          tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cut rows after the first column at which every row has kept at least
+    1 - tail_tol of its mass, with the tails recomputed. Rows and tails are
+    returned as they are if rounding leaves no such column, or if the
+    recomputed tails exceed tail_tol."""
+    short = (1.0 - np.cumsum(rows, axis=1) > tail_tol).any(axis=0)
+    n_max = int(np.argmin(short))
+    if short[n_max]:
+        return rows, tails
+    trimmed = rows[:, :n_max + 1].copy()
+    trimmed_tails = 1.0 - trimmed.sum(axis=1)
+    if trimmed_tails.max() > tail_tol:
+        return rows, tails
+    return trimmed, trimmed_tails
 
 
 def grid_recurrence(params: ChannelParams, i_max: int,
@@ -83,19 +124,23 @@ def grid_recurrence(params: ChannelParams, i_max: int,
                     hard_cap: int = HARD_CAP) -> TransitionGrid:
     """Fill rows 0..i_max by the recurrence, choosing n_max adaptively.
 
-    The cutoff starts at the geometric-envelope estimate and doubles until
-    every row's tail is at most tail_tol. Passing n_max explicitly skips
-    adaptation (tails are then whatever they are). Raises DomainError for
-    a negative index or a tail_tol that is not finite and positive, and
+    The adaptive n_max is the smallest cutoff at which every row keeps at
+    least 1 - tail_tol of its mass, so tails.max() <= tail_tol. The fill
+    starts at a Chernoff bound on the tail of row i_max, which is never
+    below that cutoff, doubles the cutoff while any tail still exceeds
+    tail_tol (a safety net against rounding), and then trims the rows to
+    the first column that meets tail_tol. Passing n_max explicitly skips
+    adaptation and trimming (tails are then whatever they are). Raises
+    DomainError for a negative index or a tail_tol outside (0, 1), and
     TruncationError if the cap would be exceeded before meeting tail_tol.
     """
-    if not 0.0 < tail_tol < math.inf:
-        raise DomainError("tail_tol", tail_tol, "0 < tail_tol < inf")
+    if not 0.0 < tail_tol < 1.0:
+        raise DomainError("tail_tol", tail_tol, "0 < tail_tol < 1")
     if i_max < 0 or (n_max is not None and n_max < 0):
         raise DomainError("i_max/n_max", (i_max, n_max), "non-negative indices")
     adaptive = n_max is None
     if adaptive:
-        n_max = min(_initial_cutoff(params.beta, i_max, tail_tol), hard_cap)
+        n_max = min(_initial_cutoff(params, i_max, tail_tol), hard_cap)
     while True:
         rows = recurrence_grid(params.alpha, params.beta, params.gamma,
                                params.chi, i_max, n_max)
@@ -107,6 +152,9 @@ def grid_recurrence(params: ChannelParams, i_max: int,
                 f"tail {tails.max():.3e} > {tail_tol:.3e} at the hard cap "
                 f"n_max={hard_cap}")
         n_max = min(2 * n_max, hard_cap)
+    if adaptive:
+        rows, tails = _trim(rows, tails, tail_tol)
+        n_max = rows.shape[1] - 1
     raw_min = float(rows.min())
     np.clip(rows, 0.0, None, out=rows)
     np.clip(tails, 0.0, None, out=tails)

@@ -193,6 +193,8 @@ OUT_OF_DOMAIN_ARGV = {
                            "--tail-tol", "inf"], "tail_tol=inf"),
     "grid-tail-tol-nan": (["grid", "--family", "lossy", "--eta", "0.5", "--N", "1",
                            "--tail-tol", "nan"], "tail_tol=nan"),
+    "grid-tail-tol-above-one": (["grid", "--family", "lossy", "--eta", "0.5", "--N", "1",
+                                 "--imax", "2", "--tail-tol", "5"], "tail_tol=5"),
     "grid-nmax-negative": (["grid", "--family", "lossy", "--eta", "0.5", "--N", "1",
                             "--nmax", "-1"], "n_max"),
     "entropy-order-nan": (["entropy", "--family", "lossy", "--eta", "0.5", "--N", "1",

@@ -3,8 +3,8 @@ import pytest
 
 from fockladder import (BinaryPattern, DomainError, FockDiagonalState, Relation, abgx,
                         conjecture_scan, counterexample_search, fock_compare,
-                        grid_recurrence, ladder_verify, make_channel,
-                        make_counterexample_corpus, mixture_shift_check,
+                        grid_recurrence, ladder_verify, majorize_compare,
+                        make_channel, make_counterexample_corpus, mixture_shift_check,
                         mixture_vs_lowest_fock, passive_path, standard_grid)
 from fockladder.experiments import CorpusPair, _output_of_weights
 
@@ -28,6 +28,18 @@ def test_ladder_pure_loss():
     assert all(v.relation is Relation.LEFT_MAJORIZES for v in report.verdicts)
     assert report.worst_slack >= -1e-12
     assert report.witness_max_err <= 1e-12
+
+
+@pytest.mark.parametrize("spec", standard_grid(), ids=lambda s: s.label())
+def test_ladder_steps_match_one_pair_comparisons(spec):
+    report = ladder_verify(spec, i_max=30)
+    grid = grid_recurrence(abgx(spec), 30)
+    steps = [majorize_compare(FockDiagonalState.from_grid_row(grid, i),
+                              FockDiagonalState.from_grid_row(grid, i + 1), 1e-12)
+             for i in range(30)]
+    assert (repr([v.to_json_dict() for v in report.verdicts])
+            == repr([v.to_json_dict() for v in steps]))
+    assert report.worst_slack == min(v.left_slack for v in steps)
 
 
 def test_ladder_conjugate_amplifier():

@@ -6,7 +6,8 @@ import pytest
 
 from fockladder import (DomainError, TruncationError, abgx, analytic_special, grid_recurrence,
                         make_channel, row_multinomial, row_series,
-                        series_rectangle)
+                        series_rectangle, standard_grid)
+from fockladder import transition
 from fockladder.channel import ChannelParams
 
 IDENTITY = ChannelParams(alpha=0.0, beta=0.0, gamma=1.0, chi=1.0, nu=1.0)
@@ -34,7 +35,9 @@ def test_pure_loss_row_two_is_binomial():
     grid = grid_recurrence(abgx(make_channel("lossy", eta=0.5, thermal_N=0.0)), 2)
     np.testing.assert_allclose(grid.rows[2][:3], [0.25, 0.5, 0.25],
                                rtol=0, atol=1e-15)
-    assert grid.rows[2][3:].max() == 0.0
+    # pure loss cannot add photons: the row ends at n = 2 with nothing beyond
+    assert grid.n_max == 2
+    assert grid.tails[2] == 0.0
 
 
 @pytest.mark.parametrize("i,eta", [(1, 0.3), (3, 0.3), (5, 0.7), (6, 0.5)])
@@ -69,6 +72,57 @@ def test_adaptive_tails_meet_tolerance():
     assert grid.tails.min() >= 0.0
 
 
+# beta >= 0.95 in every family, up to 0.998, where cutoffs run to thousands of
+# columns
+STEEP_CHANNELS = (make_channel("lossy", eta=0.02, thermal_N=100.0),
+                  make_channel("lossy", eta=0.05, thermal_N=500.0),
+                  make_channel("amp", g=20.0, thermal_N=0.0),
+                  make_channel("amp", g=10.0, thermal_N=5.0),
+                  make_channel("conj", g=20.0, thermal_N=0.5),
+                  make_channel("conj", g=12.0, thermal_N=4.0),
+                  make_channel("noise", added_n=19.0),
+                  make_channel("noise", added_n=40.0))
+CUTOFF_CASES = ([(spec, i_max) for spec in standard_grid() for i_max in (10, 30, 40)]
+                + [(spec, i_max) for spec in STEEP_CHANNELS for i_max in (40, 60)]
+                # subnormal beta: 1/beta overflows
+                + [(make_channel("lossy", eta=0.5, thermal_N=1e-320), 10)])
+
+
+@pytest.mark.parametrize("spec, i_max", CUTOFF_CASES,
+                         ids=[f"{s.label()}-i{i}" for s, i in CUTOFF_CASES])
+def test_adaptive_cutoff_is_the_smallest_meeting_tail_tol(spec, i_max, monkeypatch):
+    fills = []
+    fill = transition.recurrence_grid
+
+    def counted_fill(*args):
+        fills.append(args)
+        return fill(*args)
+
+    monkeypatch.setattr(transition, "recurrence_grid", counted_fill)
+    tol = 1e-10
+    grid = grid_recurrence(abgx(spec), i_max, tol)
+    # one fill: the first cutoff bounds the tail, so the doubling never runs;
+    # and the bound is close, so the fill computes few columns past n_max
+    assert len(fills) == 1
+    assert fills[0][5] <= 1.2 * grid.n_max + 20
+    assert grid.rows.shape == (i_max + 1, grid.n_max + 1)
+    assert grid.tails.max() <= tol
+    # minimal: one column fewer leaves some row short of 1 - tol
+    if grid.n_max > 0:
+        assert (1.0 - grid.rows[:, :grid.n_max].sum(axis=1)).max() > tol
+
+
+def test_explicit_n_max_is_not_trimmed():
+    p = abgx(make_channel("amp", g=2.0, thermal_N=1.0))
+    adaptive = grid_recurrence(p, 20)
+    wide = grid_recurrence(p, 20, n_max=adaptive.n_max + 40)
+    assert wide.n_max == adaptive.n_max + 40
+    assert wide.rows.shape == (21, adaptive.n_max + 41)
+    # the fill is causal in n, so the trimmed grid is a prefix of the wide one
+    np.testing.assert_array_equal(wide.rows[:, :adaptive.n_max + 1], adaptive.rows)
+    assert wide.tails.max() < adaptive.tails.max()
+
+
 def test_truncation_error_at_hard_cap():
     p = abgx(make_channel("amp", g=5.0, thermal_N=2.0))
     with pytest.raises(TruncationError):
@@ -77,9 +131,10 @@ def test_truncation_error_at_hard_cap():
 
 @pytest.mark.parametrize("kwargs", [
     {"tail_tol": math.nan}, {"tail_tol": math.inf}, {"tail_tol": 0.0},
-    {"tail_tol": -1e-10}, {"i_max": -1}, {"n_max": -1},
+    {"tail_tol": -1e-10}, {"tail_tol": 1.0}, {"tail_tol": 5.0}, {"i_max": -1},
+    {"n_max": -1},
 ], ids=["tail_tol-nan", "tail_tol-inf", "tail_tol-0", "tail_tol-negative",
-        "i_max-negative", "n_max-negative"])
+        "tail_tol-1", "tail_tol-above-1", "i_max-negative", "n_max-negative"])
 def test_grid_recurrence_rejects_out_of_domain_input(kwargs):
     p = abgx(make_channel("amp", g=2.0, thermal_N=1.0))
     kwargs = {"i_max": 3, **kwargs}
