@@ -18,8 +18,7 @@ from .channel import ChannelSpec, Family, abgx, make_channel
 from .errors import DomainError, WitnessError
 from .kernels import ladder_matvec
 from .majorization import (RELATIONS, FockDiagonalState, MajorizationVerdict,
-                           Relation, compare_stack, decide, fock_compare,
-                           majorize_compare, mix, prefix_sums)
+                           check_coefficients, compare_stack, decide, prefix_sums)
 from .transition import TransitionGrid, grid_recurrence
 
 DEFAULT_SEED = 20240
@@ -76,7 +75,8 @@ def ladder_verify(spec: ChannelSpec, i_max: int = 30, tol: float = 1e-12,
                   tail_tol: float = 1e-10) -> LadderReport:
     """Check that each output row majorizes the next one, for Fock inputs
     0..i_max, and cross-check each step through the ladder matrix. All
-    i_max steps are decided in one compare_stack call."""
+    i_max steps are decided in one compare_stack call and witnessed by one
+    ladder_matvec over the stack of rows 0..i_max-1."""
     if i_max < 1:
         raise DomainError("i_max", i_max, "i_max >= 1")
     params = abgx(spec)
@@ -84,11 +84,9 @@ def ladder_verify(spec: ChannelSpec, i_max: int = 30, tol: float = 1e-12,
     steps = compare_stack(grid.rows[:-1], grid.rows[1:], grid.tails[:-1],
                           grid.tails[1:], tol)
     verdicts = tuple(steps.verdict(i) for i in range(i_max))
-    witness_err = 0.0
-    for i in range(i_max):
-        image = ladder_matvec(params.alpha, params.beta, params.nu,
-                              grid.rows[i], grid.n_max + 1)
-        witness_err = max(witness_err, float(np.abs(image - grid.rows[i + 1]).max()))
+    image = ladder_matvec(params.alpha, params.beta, params.nu, grid.rows[:-1],
+                          grid.n_max + 1)
+    witness_err = float(np.abs(image - grid.rows[1:]).max())
     passed = all(v.holds_left for v in verdicts)
     return LadderReport(channel=spec, i_max=i_max, verdicts=verdicts,
                         worst_slack=float(steps.left_slack.min()),
@@ -99,11 +97,14 @@ def ladder_verify(spec: ChannelSpec, i_max: int = 30, tol: float = 1e-12,
 # Mixture properties
 # ---------------------------------------------------------------------------
 
-def _output_of_mixture(grid: TransitionGrid, coeffs, offset: int = 0) -> FockDiagonalState:
-    """Channel output of sum_i coeffs[i] |i+offset><i+offset|."""
-    states = [FockDiagonalState.from_grid_row(grid, i + offset)
-              for i in range(len(coeffs))]
-    return mix(states, coeffs)
+def _output_of_weights(grid: TransitionGrid, W,
+                       offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Channel outputs of the Fock mixtures sum_i W[..., i] |i+offset><i+offset|,
+    one per row of a stack W: the weights W @ rows[offset:offset+L] and
+    the tails W @ tails[offset:offset+L], L = W.shape[-1]."""
+    W = np.asarray(W, dtype=np.float64)
+    levels = slice(offset, offset + W.shape[-1])
+    return W @ grid.rows[levels], W @ grid.tails[levels]
 
 
 def _ensure_grid(spec, i_need, grid, tail_tol=1e-10) -> TransitionGrid:
@@ -116,9 +117,12 @@ def _ensure_grid(spec, i_need, grid, tail_tol=1e-10) -> TransitionGrid:
     return grid_recurrence(abgx(spec), i_need, tail_tol)
 
 
-def _require_shift(k: int) -> None:
+def _mixture_setup(spec, coeffs, k, grid):
+    """Validated coefficients and a grid holding input levels 0..k+len-1."""
     if k < 0:
         raise DomainError("k", k, "k >= 0")
+    coeffs = check_coefficients(coeffs)
+    return coeffs, _ensure_grid(spec, len(coeffs) - 1 + k, grid)
 
 
 def mixture_shift_check(spec: ChannelSpec, coeffs, k: int, tol: float = 1e-12,
@@ -130,18 +134,19 @@ def mixture_shift_check(spec: ChannelSpec, coeffs, k: int, tol: float = 1e-12,
     identity is verified entrywise (WitnessError beyond tol) and certifies
     the expected LeftMajorizes verdict, which is returned.
     """
-    _require_shift(k)
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    grid = _ensure_grid(spec, len(coeffs) - 1 + k, grid)
+    coeffs, grid = _mixture_setup(spec, coeffs, k, grid)
     params = grid.params
-    p = _output_of_mixture(grid, coeffs)
-    q = _output_of_mixture(grid, coeffs, offset=k)
-    verdict = majorize_compare(p, q, tol)  # first, so it rejects a non-finite tol
+    W = np.zeros((2, len(coeffs) + k))
+    W[0, :len(coeffs)] = coeffs
+    W[1, k:] = coeffs
+    out, tails = _output_of_weights(grid, W)
+    # decided first, so that a non-finite tol is rejected before the witness
+    verdict = compare_stack(out[:1], out[1:], tails[:1], tails[1:], tol).verdict(0)
     if k > 0:
-        w = p.weights.copy()
+        w = out[0]
         for _ in range(k):
             w = ladder_matvec(params.alpha, params.beta, params.nu, w, len(w))
-        err = float(np.abs(w - q.weights).max())
+        err = float(np.abs(w - out[1]).max())
         if err > tol:
             raise WitnessError(
                 f"D^{k} image deviates from the shifted output by {err:.3e}")
@@ -157,19 +162,20 @@ def mixture_vs_lowest_fock(spec: ChannelSpec, coeffs, k: int, tol: float = 1e-12
     row k; convexity of column-stochastic matrices then forces the row-k
     output to majorize it.
     """
-    _require_shift(k)
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    grid = _ensure_grid(spec, len(coeffs) - 1 + k, grid)
+    coeffs, grid = _mixture_setup(spec, coeffs, k, grid)
     params = grid.params
-    p = FockDiagonalState.from_grid_row(grid, k)
-    q = _output_of_mixture(grid, coeffs, offset=k)
-    verdict = majorize_compare(p, q, tol)  # first, so it rejects a non-finite tol
-    v = p.weights.copy()
+    W = np.zeros((2, len(coeffs)))
+    W[0, 0] = 1.0  # Fock state k itself
+    W[1] = coeffs
+    out, tails = _output_of_weights(grid, W, offset=k)
+    # decided first, so that a non-finite tol is rejected before the witness
+    verdict = compare_stack(out[:1], out[1:], tails[:1], tails[1:], tol).verdict(0)
+    v = out[0]
     acc = coeffs[0] * v
     for ci in coeffs[1:]:
         v = ladder_matvec(params.alpha, params.beta, params.nu, v, len(v))
         acc = acc + ci * v
-    err = float(np.abs(acc - q.weights).max())
+    err = float(np.abs(acc - out[1]).max())
     if err > tol:
         raise WitnessError(
             f"convex-combination image deviates from the mixture output by {err:.3e}")
@@ -232,10 +238,6 @@ class BinaryPattern:
         ones = [i for i, b in enumerate(self.bits) if b]
         return sum(ones) / len(ones)
 
-    def state(self) -> FockDiagonalState:
-        w = np.asarray(self.bits, dtype=np.float64) / self.n_ones
-        return FockDiagonalState.from_weights(w)
-
 
 def passive_path(pattern: BinaryPattern) -> list[BinaryPattern]:
     """Path from the pattern to its passive arrangement.
@@ -251,13 +253,6 @@ def passive_path(pattern: BinaryPattern) -> list[BinaryPattern]:
         path.append(BinaryPattern.from_string(format(code, f"0{length}b")))
         code = _passive_move(code)
     return path
-
-
-def _pattern_output(grid: TransitionGrid, pattern: BinaryPattern) -> FockDiagonalState:
-    ones = [i for i, b in enumerate(pattern.bits) if b]
-    w = grid.rows[ones].sum(axis=0) / len(ones)
-    tail = float(grid.tails[ones].sum()) / len(ones)
-    return FockDiagonalState.from_weights(w, tail)
 
 
 @dataclass(frozen=True)
@@ -459,12 +454,10 @@ def conjecture_scan(spec: ChannelSpec, length: int, tol: float = 1e-12,
                 continue
             samples.append((occ, rearranged))
         if samples:
-            passive = [_output_of_weights(grid, r / r.sum()) for _, r in samples]
-            active = [_output_of_weights(grid, occ / occ.sum()) for occ, _ in samples]
-            v = compare_stack(np.array([s.weights for s in passive]),
-                              np.array([s.weights for s in active]),
-                              np.array([s.tail for s in passive]),
-                              np.array([s.tail for s in active]), tol)
+            W = np.array([[r / r.sum() for _, r in samples],
+                          [occ / occ.sum() for occ, _ in samples]])
+            out, tails = _output_of_weights(grid, W)
+            v = compare_stack(out[0], out[1], tails[0], tails[1], tol)
             for r, (occ, rearranged) in enumerate(samples):
                 exploratory.append({"occupation": occ.tolist(),
                                     "rearranged": rearranged.tolist(),
@@ -478,13 +471,6 @@ def conjecture_scan(spec: ChannelSpec, length: int, tol: float = 1e-12,
         n_swap_checks=plan.n_swap, n_chain_steps=plan.n_steps,
         worst_slack=worst, violations=tuple(violations), passed=not violations,
         exploratory=tuple(exploratory))
-
-
-def _output_of_weights(grid: TransitionGrid, weights) -> FockDiagonalState:
-    w = np.asarray(weights, dtype=np.float64)
-    out = w @ grid.rows[:len(w)]
-    tail = float(w @ grid.tails[:len(w)])
-    return FockDiagonalState.from_weights(out, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -556,9 +542,7 @@ def make_counterexample_corpus(seed: int = DEFAULT_SEED,
             amount = rho_w[src] * rng.uniform(0.2, 1.0)
             rho_w[src] -= amount
             rho_w[dst] += amount
-        pair = CorpusPair(fds(rho_w), fds(sigma_w), "fock", f"random-fock-{j}")
-        assert fock_compare(pair.rho, pair.sigma).holds_left
-        pairs.append(pair)
+        pairs.append(CorpusPair(fds(rho_w), fds(sigma_w), "fock", f"random-fock-{j}"))
     return pairs
 
 
@@ -598,39 +582,40 @@ def counterexample_search(spec: ChannelSpec, corpus: list[CorpusPair],
     not control output majorization. Fock-ordered pairs must keep their
     Fock-order dominance at the output; the worst margin is reported.
     Pairs whose energy ordering could be explained by truncated tail mass
-    are skipped, not guessed.
+    are skipped, not guessed. All outputs come from one matrix product,
+    and each kind of pair is decided in one compare_stack call.
     """
-    i_need = max(len(p.rho.weights) - 1 for p in corpus)
-    i_need = max(i_need, max(len(p.sigma.weights) - 1 for p in corpus))
-    grid = _ensure_grid(spec, i_need, grid)
+    if not corpus:
+        raise DomainError("corpus", corpus, "at least one pair")
+    levels = max(len(s.weights) for p in corpus for s in (p.rho, p.sigma))
+    grid = _ensure_grid(spec, levels - 1, grid)
+    W = np.zeros((2, len(corpus), levels))
+    energy, fock = [], []
+    for j, pair in enumerate(corpus):
+        W[0, j, :len(pair.rho.weights)] = pair.rho.weights
+        W[1, j, :len(pair.sigma.weights)] = pair.sigma.weights
+        if pair.kind != "energy":
+            fock.append(j)
+            continue
+        _, hi_r = pair.rho.energy_bounds()
+        lo_s, _ = pair.sigma.energy_bounds()
+        if not (hi_r > lo_s and pair.rho.tail + pair.sigma.tail > 0):
+            energy.append(j)
+    out, tails = _output_of_weights(grid, W)
+
+    v = compare_stack(out[0, energy], out[1, energy], tails[0, energy], tails[1, energy], tol)
     witnesses = []
-    n_energy = n_fock = n_skipped = 0
-    fock_worst = np.inf
-    fock_ok = True
-    for pair in corpus:
-        out_rho = _output_of_weights(grid, pair.rho.weights)
-        out_sigma = _output_of_weights(grid, pair.sigma.weights)
-        if pair.kind == "energy":
-            lo_r, hi_r = pair.rho.energy_bounds()
-            lo_s, hi_s = pair.sigma.energy_bounds()
-            if hi_r > lo_s and pair.rho.tail + pair.sigma.tail > 0:
-                n_skipped += 1
-                continue
-            n_energy += 1
-            v = majorize_compare(out_rho, out_sigma, tol)
-            if v.relation in (Relation.INCOMPARABLE, Relation.RIGHT_MAJORIZES):
-                witnesses.append({"label": pair.label,
-                                  "relation": v.relation.value,
-                                  "slack": v.worst_slack,
-                                  "at_index": v.at_index})
-        else:
-            n_fock += 1
-            v = fock_compare(out_rho, out_sigma, tol)
-            fock_worst = min(fock_worst, v.left_slack)
-            if not v.holds_left:
-                fock_ok = False
+    for r in np.flatnonzero(v.codes >= 2):  # the left direction fails
+        found = v.verdict(r)
+        witnesses.append({"label": corpus[energy[r]].label,
+                          "relation": found.relation.value,
+                          "slack": found.worst_slack,
+                          "at_index": found.at_index})
+    f = compare_stack(out[0, fock], out[1, fock], tails[0, fock], tails[1, fock], tol,
+                      sort=False)
     return FindingsReport(
-        channel=spec, n_energy_pairs=n_energy, n_fock_pairs=n_fock,
-        n_skipped=n_skipped, energy_witnesses=tuple(witnesses),
-        fock_worst_slack=float(fock_worst) if np.isfinite(fock_worst) else 0.0,
-        fock_ok=fock_ok)
+        channel=spec, n_energy_pairs=len(energy), n_fock_pairs=len(fock),
+        n_skipped=len(corpus) - len(energy) - len(fock),
+        energy_witnesses=tuple(witnesses),
+        fock_worst_slack=float(f.left_slack.min()) if fock else 0.0,
+        fock_ok=bool((f.codes < 2).all()))

@@ -2,14 +2,17 @@
 
 Each kernel is the first-order linear recurrence y[n] = x[n] + beta*y[n-1]
 applied to a different input: the recurrence fill scans every grid row,
-and the ladder matvec scans its shifted input vector.
+and the ladder matvec scans its shifted input vector. Both scan along the
+last axis, so a 2-D stack of rows is processed in one call, each row
+exactly as a 1-D call would process it.
 """
 
 import numpy as np
 
 
 def geometric_scan(beta, x):
-    """Return y[n] = sum_{m<=n} beta**m * x[n-m], i.e. y[n] = x[n] + beta*y[n-1].
+    """Return y[n] = sum_{m<=n} beta**m * x[n-m], i.e. y[n] = x[n] + beta*y[n-1],
+    along the last axis of x.
 
     Doubling (Hillis-Steele) scan: after the step with stride s, y[n] sums
     the terms m < 2s. Each factor is one pow, beta**s, because repeated
@@ -18,11 +21,11 @@ def geometric_scan(beta, x):
     """
     y = np.array(x, dtype=np.float64)
     s = 1
-    while s < len(y):
+    while s < y.shape[-1]:
         b = beta ** s
         if b == 0.0:
             break
-        y[s:] += b * y[:-s]
+        y[..., s:] += b * y[..., :-s]
         s *= 2
     return y
 
@@ -45,15 +48,17 @@ def recurrence_grid(alpha, beta, gamma, chi, i_max, n_max):
 
 
 def ladder_matvec(alpha, beta, nu, v, out_len):
-    """Apply the banded lower-triangular ladder matrix to v.
+    """Apply the banded lower-triangular ladder matrix to v, or to every
+    row of a stack v along its last axis.
 
     out[k] = alpha*v[k] + nu * sum_{m>=1} beta**(m-1) * v[k-m], with v
     zero-padded or cut to out_len entries; the sum is the scan of v
     shifted down by one.
     """
-    v = np.asarray(v, dtype=np.float64)[:out_len]
-    shifted = np.zeros(out_len)
-    shifted[1:len(v) + 1] = v[:out_len - 1]
+    v = np.asarray(v, dtype=np.float64)[..., :out_len]
+    n = v.shape[-1]
+    shifted = np.zeros(v.shape[:-1] + (out_len,))
+    shifted[..., 1:n + 1] = v[..., :out_len - 1]
     out = nu * geometric_scan(beta, shifted)
-    out[:len(v)] += alpha * v
+    out[..., :n] += alpha * v
     return out

@@ -23,6 +23,7 @@ import numpy as np
 from .channel import ChannelParams
 from .errors import DomainError, NormalizationError
 from .kernels import ladder_matvec
+from .transition import HARD_CAP
 
 NORMALIZATION_TOL = 1e-12
 DEFAULT_TOL = 1e-12
@@ -57,23 +58,29 @@ class FockDiagonalState:
         """Mean photon number of the retained weights (tail mass excluded)."""
         return float(np.arange(len(self.weights)) @ self.weights)
 
-    def energy_bounds(self, cap: int = 20000) -> tuple[float, float]:
+    def energy_bounds(self, cap: int = HARD_CAP) -> tuple[float, float]:
         """Interval containing the true energy: tail mass sits somewhere
         between index len(weights) and the cap used as an upper flag."""
         e = self.energy
         return (e + len(self.weights) * self.tail, e + cap * self.tail)
 
-    def check_normalized(self, tol: float = NORMALIZATION_TOL) -> None:
-        check_rows(self.weights[None, :], np.array([self.tail]), "state", tol)
+
+def check_coefficients(coeffs) -> np.ndarray:
+    """Mixture coefficients as a float array. Raises DomainError unless they
+    form a non-empty 1-D sequence, and NormalizationError (see check_rows)
+    unless they are a finite probability distribution."""
+    c = np.asarray(coeffs, dtype=np.float64)
+    if c.ndim != 1 or len(c) == 0:
+        raise DomainError("coeffs", coeffs, "a non-empty 1-D sequence")
+    check_rows(c[None, :], np.zeros(1), "mixture coefficients")
+    return c
 
 
 def mix(states: list[FockDiagonalState], coeffs) -> FockDiagonalState:
     """Convex combination of states, zero-padded to the longest one."""
-    c = np.asarray(coeffs, dtype=np.float64)
+    c = check_coefficients(coeffs)
     if len(c) != len(states):
         raise ValueError("one coefficient per state required")
-    if float(c.min(initial=0.0)) < 0 or abs(float(c.sum()) - 1.0) > NORMALIZATION_TOL:
-        raise NormalizationError(f"mixture coefficients {coeffs!r} not a distribution")
     length = max(len(s.weights) for s in states)
     w = np.zeros(length)
     tail = 0.0
@@ -275,18 +282,9 @@ class LadderMatrix:
     def nu(self) -> float:
         return self.params.nu
 
-    def entry(self, k: int, l: int) -> float:
-        if k == l:
-            return self.alpha
-        if k > l:
-            return self.nu * self.beta ** (k - l - 1)
-        return 0.0
-
     def band(self) -> np.ndarray:
-        """Entries alpha, nu, nu*beta, nu*beta**2, ... down the first column.
-
-        Scalar pow throughout, so band values match entry() bit for bit.
-        """
+        """Entries alpha, nu, nu*beta, nu*beta**2, ... down the first column,
+        each nu*beta**(m-1) taken with one scalar pow."""
         out = np.empty(self.dim)
         out[0] = self.alpha
         for m in range(1, self.dim):

@@ -38,8 +38,10 @@ class TransitionGrid:
     An adaptive grid (see grid_recurrence) has the smallest n_max at which
     every row keeps at least 1 - tail_tol of its mass. tails[i] =
     1 - sum(rows[i]) is the probability mass beyond n_max, clamped at zero
-    against rounding. raw_min is the most negative entry produced by the
-    recurrence before clamping (diagnostic; should never fall below -1e-15).
+    against rounding. raw_min is min(0, smallest entry) of the rows before
+    they are clamped at zero: the most negative entry the recurrence
+    produced, or 0.0 if none is negative (diagnostic; should never fall
+    below -1e-15).
     """
 
     params: ChannelParams
@@ -48,9 +50,6 @@ class TransitionGrid:
     rows: np.ndarray
     tails: np.ndarray
     raw_min: float
-
-    def row(self, i: int) -> np.ndarray:
-        return self.rows[i]
 
     def to_csv(self) -> str:
         """One line per input index i; columns are n = 0..n_max, then the tail."""
@@ -155,7 +154,7 @@ def grid_recurrence(params: ChannelParams, i_max: int,
     if adaptive:
         rows, tails = _trim(rows, tails, tail_tol)
         n_max = rows.shape[1] - 1
-    raw_min = float(rows.min())
+    raw_min = min(0.0, float(rows.min()))
     np.clip(rows, 0.0, None, out=rows)
     np.clip(tails, 0.0, None, out=tails)
     rows.setflags(write=False)

@@ -197,6 +197,8 @@ OUT_OF_DOMAIN_ARGV = {
                                  "--imax", "2", "--tail-tol", "5"], "tail_tol=5"),
     "grid-nmax-negative": (["grid", "--family", "lossy", "--eta", "0.5", "--N", "1",
                             "--nmax", "-1"], "n_max"),
+    "mixture-weights-nan": (["mixture", "--family", "amp", "--g", "2", "--N", "0",
+                             "--weights=nan,1"], "mixture coefficients"),
     "entropy-order-nan": (["entropy", "--family", "lossy", "--eta", "0.5", "--N", "1",
                            "--imax", "3", "--order", "nan"], "order=nan"),
 }

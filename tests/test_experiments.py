@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fockladder import (BinaryPattern, DomainError, FockDiagonalState, Relation, abgx,
-                        conjecture_scan, counterexample_search, fock_compare,
-                        grid_recurrence, ladder_verify, majorize_compare,
+from fockladder import (BinaryPattern, DomainError, FockDiagonalState, NormalizationError,
+                        Relation, abgx, conjecture_scan, counterexample_search,
+                        fock_compare, grid_recurrence, ladder_verify, majorize_compare,
                         make_channel, make_counterexample_corpus, mixture_shift_check,
                         mixture_vs_lowest_fock, passive_path, standard_grid)
 from fockladder.experiments import CorpusPair, _output_of_weights
@@ -146,6 +146,26 @@ def test_mixture_rejects_negative_shift(check):
         check(make_channel("amp", g=2.0, thermal_N=0.0), [0.5, 0.5], -1)
 
 
+@pytest.mark.parametrize("check", [mixture_shift_check, mixture_vs_lowest_fock])
+@pytest.mark.parametrize("coeffs", [[float("nan"), 1.0], [0.5, float("inf")],
+                                    [-0.5, 1.5]])
+def test_mixture_rejects_non_distribution_coefficients(check, coeffs):
+    with pytest.raises(NormalizationError, match="mixture coefficients"):
+        check(make_channel("amp", g=2.0, thermal_N=0.0), coeffs, 1)
+
+
+@pytest.mark.parametrize("check", [mixture_shift_check, mixture_vs_lowest_fock])
+@pytest.mark.parametrize("coeffs", [[], [[0.5, 0.5]]])
+def test_mixture_rejects_empty_or_non_1d_coefficients(check, coeffs):
+    with pytest.raises(DomainError, match="coeffs"):
+        check(make_channel("amp", g=2.0, thermal_N=0.0), coeffs, 1)
+
+
+def test_search_rejects_empty_corpus():
+    with pytest.raises(DomainError, match="corpus"):
+        counterexample_search(make_channel("lossy", eta=0.5, thermal_N=0.0), [])
+
+
 def test_conjecture_scan_deterministic():
     spec = make_channel("amp", g=2.0, thermal_N=0.5)
     a = conjecture_scan(spec, 5, nonbinary_samples=6, seed=11)
@@ -173,11 +193,13 @@ def test_corpus_is_seeded_and_reproducible():
 
 
 def test_corpus_respects_orderings():
-    for pair in make_counterexample_corpus(seed=9):
-        if pair.kind == "energy":
-            assert pair.rho.energy <= pair.sigma.energy
-        else:
-            assert fock_compare(pair.rho, pair.sigma).holds_left
+    # seed 20240 is the default corpus, searched by the acceptance suite
+    for seed in (9, 2, 20240):
+        for pair in make_counterexample_corpus(seed=seed):
+            if pair.kind == "energy":
+                assert pair.rho.energy <= pair.sigma.energy
+            else:
+                assert fock_compare(pair.rho, pair.sigma).holds_left
 
 
 def test_search_finds_energy_witness_on_pure_loss():
@@ -220,6 +242,16 @@ def test_fock_order_preserved_across_channels():
 
 def test_output_of_weights_matches_manual_mixture():
     grid = grid_recurrence(abgx(make_channel("amp", g=2.0, thermal_N=0.5)), 4)
-    out = _output_of_weights(grid, [0.25, 0.0, 0.75])
+    out, tail = _output_of_weights(grid, [0.25, 0.0, 0.75])
     manual = 0.25 * grid.rows[0] + 0.75 * grid.rows[2]
-    np.testing.assert_allclose(out.weights, manual, rtol=0, atol=1e-16)
+    np.testing.assert_allclose(out, manual, rtol=0, atol=1e-16)
+    assert tail == pytest.approx(0.25 * grid.tails[0] + 0.75 * grid.tails[2],
+                                 rel=0, abs=1e-16)
+    # a stack of mixtures, starting at level 2
+    W = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    out, tails = _output_of_weights(grid, W, offset=2)
+    assert out.shape == (2, grid.n_max + 1) and tails.shape == (2,)
+    np.testing.assert_allclose(out[0], 0.5 * grid.rows[2] + 0.5 * grid.rows[3],
+                               rtol=0, atol=1e-16)
+    np.testing.assert_array_equal(out[1], grid.rows[4])
+    np.testing.assert_array_equal(tails[1], grid.tails[4])

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import kernel_reference
-from fockladder import abgx, grid_recurrence, kernels, make_channel, standard_grid
+from fockladder import (abgx, grid_recurrence, kernels, ladder_verify, make_channel,
+                        standard_grid)
 from fockladder.transition import HARD_CAP
 
 ATOL = 4 * np.finfo(np.float64).eps
@@ -43,6 +44,39 @@ def test_ladder_matvec_matches_reference(p):
         ref = kernel_reference.ladder_matvec(p.alpha, p.beta, p.nu, v, out_len)
         assert new.shape == (out_len,)
         np.testing.assert_allclose(new, ref, rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("p", STANDARD, ids=STANDARD_IDS)
+def test_stacked_calls_equal_row_by_row_calls(p):
+    rows = grid_recurrence(p, 30).rows
+    width = rows.shape[1]
+    np.testing.assert_array_equal(
+        kernels.geometric_scan(p.beta, rows),
+        [kernels.geometric_scan(p.beta, row) for row in rows])
+    for out_len in (0, 1, width // 2, width, width + 40):
+        stacked = kernels.ladder_matvec(p.alpha, p.beta, p.nu, rows, out_len)
+        assert stacked.shape == (len(rows), out_len)
+        for row, image in zip(rows, stacked):
+            np.testing.assert_array_equal(
+                image, kernels.ladder_matvec(p.alpha, p.beta, p.nu, row, out_len))
+
+
+def test_empty_stack():
+    empty = np.zeros((0, 5))
+    assert kernels.geometric_scan(0.5, empty).shape == (0, 5)
+    for out_len in (0, 3, 8):
+        assert kernels.ladder_matvec(0.5, 0.5, 0.25, empty, out_len).shape == (0, out_len)
+
+
+@pytest.mark.parametrize("spec", standard_grid(), ids=STANDARD_IDS)
+def test_ladder_witness_equals_the_row_by_row_maximum(spec):
+    p = abgx(spec)
+    for i_max in (1, 30):  # a stack of one row, and the standard depth
+        grid = grid_recurrence(p, i_max)
+        errs = [np.abs(kernels.ladder_matvec(p.alpha, p.beta, p.nu, grid.rows[i],
+                                             grid.n_max + 1) - grid.rows[i + 1]).max()
+                for i in range(i_max)]
+        assert ladder_verify(spec, i_max=i_max).witness_max_err == max(errs)
 
 
 def test_cancelling_channel_at_the_hard_cap():

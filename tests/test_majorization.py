@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockladder import (FockDiagonalState, NormalizationError, Relation, abgx,
-                        apply_D_power, build_D, check_column_stochastic,
+from fockladder import (DomainError, FockDiagonalState, NormalizationError, Relation,
+                        abgx, apply_D_power, build_D, check_column_stochastic,
                         fock_compare, grid_recurrence, majorize_compare,
                         make_channel, mix)
 from fockladder.kernels import ladder_matvec
@@ -12,6 +12,15 @@ from fockladder.kernels import ladder_matvec
 
 def fds(values, tail=0.0):
     return FockDiagonalState.from_weights(values, tail)
+
+
+def entry(D, k, l):
+    """Reference entry D[k][l] of a ladder matrix, from its definition."""
+    if k == l:
+        return D.alpha
+    if k > l:
+        return D.nu * D.beta ** (k - l - 1)
+    return 0.0
 
 
 def test_reflexive_equivalent():
@@ -103,9 +112,9 @@ def test_preorder_transitivity_on_grid_rows():
 def test_D_entries_pure_loss_bidiagonal():
     p = abgx(make_channel("lossy", eta=0.5, thermal_N=0.0))
     D = build_D(p, 6)
-    assert D.entry(3, 3) == 0.5
-    assert D.entry(4, 3) == 0.5
-    assert D.entry(5, 3) == 0.0  # beta = 0 kills deeper bands
+    assert entry(D, 3, 3) == 0.5
+    assert entry(D, 4, 3) == 0.5
+    assert entry(D, 5, 3) == 0.0  # beta = 0 kills deeper bands
 
 
 def test_D_entries_identity_is_lower_shift():
@@ -122,9 +131,9 @@ def test_D_entries_lossy_band():
     # eta=0.5, N=1: diagonal 2/3, band nu*beta**(m-1) = (2/9)(1/3)**(m-1)
     p = abgx(make_channel("lossy", eta=0.5, thermal_N=1.0))
     D = build_D(p, 8)
-    assert D.entry(2, 2) == pytest.approx(2 / 3, abs=1e-15)
+    assert entry(D, 2, 2) == pytest.approx(2 / 3, abs=1e-15)
     for m in (1, 2, 3):
-        assert D.entry(2 + m, 2) == pytest.approx((2 / 9) * (1 / 3) ** (m - 1),
+        assert entry(D, 2 + m, 2) == pytest.approx((2 / 9) * (1 / 3) ** (m - 1),
                                                   abs=1e-15)
 
 
@@ -134,7 +143,7 @@ def test_dense_matches_entry_and_csv_guard():
     dense = D.dense()
     for k in range(7):
         for l in range(7):
-            assert dense[k, l] == D.entry(k, l)
+            assert dense[k, l] == entry(D, k, l)
     with pytest.raises(ValueError):
         build_D(p, 513).to_csv()
     assert build_D(p, 3).to_csv().count("\n") == 3
@@ -258,6 +267,25 @@ def test_mix_and_energy():
     np.testing.assert_array_equal(s.weights, [0.5, 0, 0, 0.5])
     with pytest.raises(NormalizationError):
         mix([fds([1.0])], [1.5])
+
+
+@pytest.mark.parametrize("coeffs, reason", [
+    ([float("nan"), 1.0], "weight 0 is nan"),
+    ([float("inf"), 1.0], "weight 0 is inf"),
+    ([-0.5, 1.5], "weight 0 is -0.5, negative"),
+    ([0.5, 0.4], "differs from 1"),
+])
+def test_mix_rejects_non_distribution_coefficients(coeffs, reason):
+    states = [FockDiagonalState.point_mass(0), FockDiagonalState.point_mass(1)]
+    with pytest.raises(NormalizationError, match="mixture coefficients") as info:
+        mix(states, coeffs)
+    assert reason in str(info.value)
+
+
+@pytest.mark.parametrize("coeffs", [[], [[0.5, 0.5]], 1.0])
+def test_mix_rejects_empty_or_non_1d_coefficients(coeffs):
+    with pytest.raises(DomainError, match="coeffs"):
+        mix([FockDiagonalState.point_mass(0)], coeffs)
 
 
 def test_energy_bounds_with_tail():

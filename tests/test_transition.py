@@ -156,6 +156,16 @@ def test_nonnegativity_before_clamp():
         assert grid.raw_min >= -1e-15
 
 
+def test_raw_min_is_never_positive():
+    # the smallest entry of a trimmed grid can be positive; raw_min reports
+    # only negative entries
+    spec = make_channel("noise", added_n=0.952 / 0.048)
+    grid = grid_recurrence(abgx(spec), 60)
+    assert grid.params.beta >= 0.95
+    assert grid.rows.min() > 0.0
+    assert grid.raw_min == 0.0
+
+
 def test_normalization_row_sums():
     grid = grid_recurrence(abgx(make_channel("conj", g=2.0, thermal_N=1.0)), 25)
     for i in range(26):
