@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError
@@ -158,6 +159,16 @@ def abgx(spec: ChannelSpec) -> ChannelParams:
                 gamma = (1-n)/(n+1)         chi  = 1/(n+1)
         conj:   alpha = (g*y-y+1)/g         beta = (g+y-1)/g
                 gamma = -y                  chi  = (1-y)/g
+
+    The tuple is then moved to the binary64 values nearest exact trace
+    preservation. chi = 1 - beta, which is exact for beta >= 1/2 by
+    Sterbenz's lemma. gamma becomes the binary64 value nearest the exact
+    1 - alpha - beta (math.fsum rounds the exact sum once), a move within
+    the rounding of the table (below 1e-15); a gamma the table gives as
+    exactly 0 stays 0, and alpha = 1 - beta instead. Each output row sums
+    to (alpha+gamma)/(1-beta) times the previous one, so a residual
+    alpha+beta+gamma-1 of one ulp would grow by a factor 1/(1-beta) per
+    row (about 1e-12 by row 50 at beta = 0.995).
     """
     y = spec.y
     if spec.family is Family.LOSSY:
@@ -166,48 +177,52 @@ def abgx(spec: ChannelSpec) -> ChannelParams:
         alpha = (1.0 - eta) / d
         beta = y * (1.0 - eta) / d
         gamma = (eta - y) / d
-        chi = (1.0 - y) / d
     elif spec.family is Family.AMP:
         g = spec.g
         d = g - y
         alpha = y * (g - 1.0) / d
         beta = (g - 1.0) / d
         gamma = (1.0 - g * y) / d
-        chi = (1.0 - y) / d
     elif spec.family is Family.NOISE:
         n = spec.added_n
-        alpha = n / (n + 1.0)
-        beta = n / (n + 1.0)
+        alpha = beta = n / (n + 1.0)
         gamma = (1.0 - n) / (n + 1.0)
-        chi = 1.0 / (n + 1.0)
     else:
         g = spec.g
         alpha = (g * y - y + 1.0) / g
         beta = (g + y - 1.0) / g
         gamma = -y
-        chi = (1.0 - y) / g
-    return ChannelParams(alpha, beta, gamma, chi, nu=gamma + beta * alpha)
+    if gamma == 0.0:
+        alpha = 1.0 - beta
+    else:
+        gamma = math.fsum((1.0, -alpha, -beta))
+    return ChannelParams(alpha, beta, gamma, 1.0 - beta, nu=gamma + beta * alpha)
 
 
 def validate_params(p: ChannelParams, tol: float = 1e-14,
                     spec: Optional[ChannelSpec] = None) -> ValidationReport:
     """Check the two affine identities and the sign conditions.
 
-    Each entry of the report maps a check name to (passed, residual).
-    Sign conditions get 1e-15 slack on top of tol-free exact bounds.
+    Each entry of the report maps a check name to (passed, residual). The
+    residuals of the three identities are evaluated exactly in rationals
+    and then rounded to binary64, so a reported 0.0 means the identity
+    holds exactly for the binary64 tuple. Sign conditions get 1e-15 slack
+    on top of tol-free exact bounds.
     """
     slack = 1e-15
-    checks = {
-        "alpha+beta+gamma=1": (abs(p.alpha + p.beta + p.gamma - 1.0) <= tol,
-                               p.alpha + p.beta + p.gamma - 1.0),
-        "beta+chi=1": (abs(p.beta + p.chi - 1.0) <= tol, p.beta + p.chi - 1.0),
-        "nu=gamma+beta*alpha": (abs(p.nu - (p.gamma + p.beta * p.alpha)) <= tol,
-                                p.nu - (p.gamma + p.beta * p.alpha)),
+    alpha, beta, gamma, chi, nu = map(Fraction, (p.alpha, p.beta, p.gamma, p.chi, p.nu))
+    residuals = {
+        "alpha+beta+gamma=1": float(alpha + beta + gamma - 1),
+        "beta+chi=1": float(beta + chi - 1),
+        "nu=gamma+beta*alpha": float(nu - gamma - beta * alpha),
+    }
+    checks = {name: (abs(r) <= tol, r) for name, r in residuals.items()}
+    checks.update({
         "alpha>=0": (p.alpha >= -slack, p.alpha),
         "0<=beta<1": (-slack <= p.beta < 1.0, p.beta),
         "nu>=0": (p.nu >= -slack, p.nu),
         "0<chi<=1": (slack < p.chi <= 1.0 + slack, p.chi),
-    }
+    })
     notes = []
     if spec is not None and spec.family is Family.CONJ and spec.g == 1.0:
         notes.append("conj family at g=1: every input is replaced by the "

@@ -582,18 +582,21 @@ def counterexample_search(spec: ChannelSpec, corpus: list[CorpusPair],
     not control output majorization. Fock-ordered pairs must keep their
     Fock-order dominance at the output; the worst margin is reported.
     Pairs whose energy ordering could be explained by truncated tail mass
-    are skipped, not guessed. All outputs come from one matrix product,
-    and each kind of pair is decided in one compare_stack call.
+    are skipped, not guessed. An input's tail mass is carried into its
+    output's tail. All outputs come from one matrix product, and each kind
+    of pair is decided in one compare_stack call.
     """
     if not corpus:
         raise DomainError("corpus", corpus, "at least one pair")
     levels = max(len(s.weights) for p in corpus for s in (p.rho, p.sigma))
     grid = _ensure_grid(spec, levels - 1, grid)
     W = np.zeros((2, len(corpus), levels))
+    input_tails = np.zeros((2, len(corpus)))
     energy, fock = [], []
     for j, pair in enumerate(corpus):
         W[0, j, :len(pair.rho.weights)] = pair.rho.weights
         W[1, j, :len(pair.sigma.weights)] = pair.sigma.weights
+        input_tails[:, j] = pair.rho.tail, pair.sigma.tail
         if pair.kind != "energy":
             fock.append(j)
             continue
@@ -602,6 +605,9 @@ def counterexample_search(spec: ChannelSpec, corpus: list[CorpusPair],
         if not (hi_r > lo_s and pair.rho.tail + pair.sigma.tail > 0):
             energy.append(j)
     out, tails = _output_of_weights(grid, W)
+    # an input's tail sits on levels beyond its weights, so its image is
+    # output mass of unknown place: it joins the output tail
+    tails += input_tails
 
     v = compare_stack(out[0, energy], out[1, energy], tails[0, energy], tails[1, energy], tol)
     witnesses = []

@@ -13,13 +13,21 @@ trinomial-expansion sum, and ``row_series`` extracts coefficients of
 h(x, z) by iterated truncated polynomial multiplication of geometric
 series. ``analytic_special`` supplies textbook laws for the physically
 solvable corners.
+
+The trinomial coefficient factors exactly as C(i, c) * C(i+n-c, i), so
+``row_multinomial`` evaluates each row as one convolution of two
+exact-binomial factors, built in decimal arithmetic with 40 digits beyond
+the row's total absolute term mass. It keeps no table between calls, and
+it never calls the recurrence, the kernels or the series extraction.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -70,6 +78,13 @@ class TransitionGrid:
         }
 
 
+def _check_indices(**indices: int) -> None:
+    """Raise DomainError naming the first negative index."""
+    for name, value in indices.items():
+        if value < 0:
+            raise DomainError(name, value, f"{name} >= 0")
+
+
 # Points u in (0, 1) where the Chernoff bound is evaluated, at
 # z = 1 + u*(1/beta - 1). On the standard grid and on beta >= 0.95 channels
 # a finer grid lowers no cutoff by more than 0.1%.
@@ -105,11 +120,15 @@ def _trim(rows: np.ndarray, tails: np.ndarray,
     """Cut rows after the first column at which every row has kept at least
     1 - tail_tol of its mass, with the tails recomputed. Rows and tails are
     returned as they are if rounding leaves no such column, or if the
-    recomputed tails exceed tail_tol."""
+    recomputed tails exceed tail_tol. The column is found on running sums,
+    which round differently from the sums behind the recomputed tails;
+    where the two disagree at tail_tol, the recomputed tails decide."""
     short = (1.0 - np.cumsum(rows, axis=1) > tail_tol).any(axis=0)
     n_max = int(np.argmin(short))
     if short[n_max]:
         return rows, tails
+    while n_max > 0 and (1.0 - rows[:, :n_max].sum(axis=1)).max() <= tail_tol:
+        n_max -= 1
     trimmed = rows[:, :n_max + 1].copy()
     trimmed_tails = 1.0 - trimmed.sum(axis=1)
     if trimmed_tails.max() > tail_tol:
@@ -135,8 +154,7 @@ def grid_recurrence(params: ChannelParams, i_max: int,
     """
     if not 0.0 < tail_tol < 1.0:
         raise DomainError("tail_tol", tail_tol, "0 < tail_tol < 1")
-    if i_max < 0 or (n_max is not None and n_max < 0):
-        raise DomainError("i_max/n_max", (i_max, n_max), "non-negative indices")
+    _check_indices(i_max=i_max, n_max=n_max or 0)
     adaptive = n_max is None
     if adaptive:
         n_max = min(_initial_cutoff(params, i_max, tail_tol), hard_cap)
@@ -163,73 +181,9 @@ def grid_recurrence(params: ChannelParams, i_max: int,
                           rows=rows, tails=tails, raw_min=raw_min)
 
 
-def _trinomial_coeff(i: int, n: int, c: int) -> int:
-    # (i+n-c)! / ((i-c)! (n-c)! c!)
-    return math.comb(i + n - c, i - c) * math.comb(n, c)
-
-
-def _row_multinomial_float(params: ChannelParams, i: int, n_max: int) -> np.ndarray:
-    """All-terms-positive evaluation (gamma >= 0): exact binomials for small
-    totals, log-domain accumulation beyond (factorials would overflow)."""
-    alpha, beta, gamma, chi = params.alpha, params.beta, params.gamma, params.chi
-    la = math.log(alpha) if alpha > 0 else None
-    lb = math.log(beta) if beta > 0 else None
-    lg = math.log(gamma) if gamma > 0 else None
-    out = np.zeros(n_max + 1)
-    for n in range(n_max + 1):
-        if i + n <= 60:
-            total = 0.0
-            for c in range(min(i, n) + 1):
-                total += (_trinomial_coeff(i, n, c)
-                          * alpha ** (i - c) * beta ** (n - c) * gamma ** c)
-            out[n] = chi * total
-            continue
-        logs = []
-        for c in range(min(i, n) + 1):
-            if (i - c and la is None) or (n - c and lb is None) or (c and lg is None):
-                continue
-            lt = math.log(_trinomial_coeff(i, n, c))
-            lt += (i - c) * la if i - c else 0.0
-            lt += (n - c) * lb if n - c else 0.0
-            lt += c * lg if c else 0.0
-            logs.append(lt)
-        if not logs:
-            continue
-        top = max(logs)
-        if top < -740.0:  # every term underflows; the entry is numerically 0
-            continue
-        out[n] = chi * math.exp(top) * math.fsum(math.exp(lt - top) for lt in logs)
-    return out
-
-
-def _row_multinomial_signed(params: ChannelParams, i: int, n_max: int) -> np.ndarray:
-    """gamma < 0: the alternating sum cancels catastrophically in binary64
-    (terms grow like (alpha+beta+|gamma|)**(i+n) while the result stays
-    below 1), so accumulate in decimal with enough digits to absorb it."""
-    growth = params.alpha + params.beta + abs(params.gamma)
-    digits = 50
-    if growth > 1.0:
-        digits += math.ceil((i + n_max) * math.log10(growth))
-    out = np.zeros(n_max + 1)
-    with localcontext() as ctx:
-        ctx.prec = digits + 35
-        a_pow = [Decimal(1)]
-        for _ in range(i):
-            a_pow.append(a_pow[-1] * Decimal(params.alpha))
-        b_pow = [Decimal(1)]
-        for _ in range(n_max):
-            b_pow.append(b_pow[-1] * Decimal(params.beta))
-        g_pow = [Decimal(1)]
-        for _ in range(min(i, n_max)):
-            g_pow.append(g_pow[-1] * Decimal(params.gamma))
-        chi = Decimal(params.chi)
-        for n in range(n_max + 1):
-            total = Decimal(0)
-            for c in range(min(i, n) + 1):
-                total += (Decimal(_trinomial_coeff(i, n, c))
-                          * a_pow[i - c] * b_pow[n - c] * g_pow[c])
-            out[n] = float(chi * total)
-    return out
+def _powers(base: Decimal, k: int) -> list[Decimal]:
+    """base**0 .. base**k by repeated multiplication (so that 0**0 = 1)."""
+    return list(accumulate(repeat(base, k), operator.mul, initial=Decimal(1)))
 
 
 def row_multinomial(params: ChannelParams, i: int, n_max: int) -> np.ndarray:
@@ -239,10 +193,43 @@ def row_multinomial(params: ChannelParams, i: int, n_max: int) -> np.ndarray:
         T[i][n] = chi * sum_c (i+n-c)!/((i-c)!(n-c)!c!)
                              * alpha**(i-c) * beta**(n-c) * gamma**c,
 
-    with c running over 0..min(i, n). Independent of the recurrence."""
-    if params.gamma < 0.0:
-        return _row_multinomial_signed(params, i, n_max)
-    return _row_multinomial_float(params, i, n_max)
+    with c running over 0..min(i, n). The trinomial coefficient is exactly
+    C(i, c) * C(i+n-c, i), so the row is one convolution, T[i][n] =
+    sum_c p[c] * q[n-c], of p[c] = chi * C(i, c) * alpha**(i-c) * gamma**c
+    and q[m] = C(i+m, i) * beta**m: the same terms with the same exact
+    integer coefficients, grouped differently. Independent of the
+    recurrence and of the series extraction.
+
+    p and q are built in decimal arithmetic, which has no overflow, with
+    40 digits beyond log10 S, where S = chi * (alpha+|gamma|)**i /
+    (1-beta)**(i+1) = (sum |p|) * (sum q) bounds the sum of |term| over
+    the whole row. With gamma >= 0 every term is nonnegative (S = 1), so
+    p and q are scaled by their maxima, rounded to binary64 and convolved
+    in floating point; every product p[c] * q[m] is itself a term of the
+    row, so the result cannot overflow. With gamma < 0 the sum alternates
+    and cancels catastrophically in binary64 (terms grow like S while the
+    result stays below 1), so the convolution runs in decimal and only its
+    result is rounded. No table is kept between calls.
+    """
+    _check_indices(i=i, n_max=n_max)
+    alpha, beta, gamma, chi = params.alpha, params.beta, params.gamma, params.chi
+    log_s = (math.log10(chi) + i * math.log10(alpha + abs(gamma))
+             - (i + 1) * math.log10(1.0 - beta))
+    with localcontext() as ctx:
+        ctx.prec = 40 + max(0, math.ceil(log_s))
+        a_pow = _powers(Decimal(alpha), i)
+        g_pow = _powers(Decimal(gamma), i)
+        b_pow = _powers(Decimal(beta), n_max)
+        p = [Decimal(chi) * math.comb(i, c) * a_pow[i - c] * g_pow[c]
+             for c in range(i + 1)]
+        q = [math.comb(i + m, i) * b_pow[m] for m in range(n_max + 1)]
+        if gamma < 0.0:
+            conv = np.convolve(np.array(p, dtype=object), np.array(q, dtype=object))
+            return conv[:n_max + 1].astype(np.float64)
+        top_p, top_q = max(p), max(q)
+        p_scaled = np.array([float(v / top_p) for v in p])
+        q_scaled = np.array([float(v / top_q) for v in q])
+        return float(top_p * top_q) * np.convolve(p_scaled, q_scaled)[:n_max + 1]
 
 
 def series_rectangle(params: ChannelParams, i_max: int, n_max: int) -> np.ndarray:
@@ -256,6 +243,7 @@ def series_rectangle(params: ChannelParams, i_max: int, n_max: int) -> np.ndarra
     once gamma < 0). Multiplication by U is carried out as one geometric
     scan per variable.
     """
+    _check_indices(i_max=i_max, n_max=n_max)
     alpha, beta, nu, chi = params.alpha, params.beta, params.nu, params.chi
     a_pow = alpha ** np.arange(i_max + 1, dtype=np.float64)
     b_pow = beta ** np.arange(n_max + 1, dtype=np.float64)
@@ -277,6 +265,7 @@ def series_rectangle(params: ChannelParams, i_max: int, n_max: int) -> np.ndarra
 
 def row_series(params: ChannelParams, i: int, n_max: int) -> np.ndarray:
     """Row i of the generating-function coefficient rectangle (second oracle)."""
+    _check_indices(i=i, n_max=n_max)
     return series_rectangle(params, i, n_max)[i]
 
 
@@ -294,6 +283,7 @@ def analytic_special(spec: ChannelSpec, i: int, n_max: int) -> np.ndarray | None
     noiseless amplifier (N=0) -> C(n, i) g**-(i+1) (1-1/g)**(n-i) for n >= i
     vacuum input (i=0), any   -> geometric chi * beta**n
     """
+    _check_indices(i=i, n_max=n_max)
     out = np.zeros(n_max + 1)
     if _is_identity(spec):
         if i <= n_max:

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockladder import (DomainError, Family, LimitRoute, abgx, make_channel,
-                        noise_limit_params, validate_params)
+                        noise_limit_params, standard_grid, validate_params)
 from fockladder.channel import ChannelParams
 
 
@@ -87,6 +90,56 @@ def test_validate_params_catches_violation():
     report = validate_params(bad)
     assert not report.ok
     assert not report.checks["alpha+beta+gamma=1"][0]
+
+
+def test_validate_params_reports_exact_residuals():
+    # in binary64, 0.1 + 0.2 + 0.7 - 1 rounds to 0; exactly it is -2**-55
+    p = ChannelParams(alpha=0.1, beta=0.2, gamma=0.7, chi=0.8, nu=0.72)
+    residual = validate_params(p).checks["alpha+beta+gamma=1"][1]
+    assert residual == float(Fraction(0.1) + Fraction(0.2) + Fraction(0.7) - 1)
+    assert residual == -2.0 ** -55
+    report = validate_params(abgx(make_channel("conj", g=2.0, thermal_N=99.0)))
+    assert report.ok
+    assert report.checks["alpha+beta+gamma=1"][1] == 0.0
+    assert report.checks["beta+chi=1"][1] == 0.0
+
+
+def _beta_sweep(family):
+    """Channels of the family with beta from 0.5 to 0.999."""
+    specs = []
+    for beta in np.linspace(0.5, 0.999, 40):
+        beta = float(beta)
+        if family == "lossy":    # beta = y(1-eta)/(1-eta*y), so y > beta
+            for y in ((1.0 + beta) / 2, 1.0 - (1.0 - beta) / 10):
+                eta = (y - beta) / (y - beta * y)
+                specs.append(make_channel(family, eta=eta, thermal_N=y / (1.0 - y)))
+        elif family == "amp":    # beta = (g-1)/(g-y)
+            for y in (0.0, 0.3, 0.6, 0.9):
+                specs.append(make_channel(family, g=(1.0 - beta * y) / (1.0 - beta),
+                                          thermal_N=y / (1.0 - y)))
+        elif family == "conj":   # beta = 1 - (1-y)/g, so y <= beta
+            for y in (0.0, 0.3, 0.5, beta):
+                specs.append(make_channel(family, g=(1.0 - y) / (1.0 - beta),
+                                          thermal_N=y / (1.0 - y)))
+        else:
+            specs.append(make_channel(family, added_n=beta / (1.0 - beta)))
+    return specs
+
+
+@pytest.mark.parametrize("family", ["standard", "lossy", "amp", "conj", "noise"])
+def test_parameters_are_trace_preserving_to_the_last_bit(family):
+    # each row sums to (alpha+gamma)/(1-beta) times the previous one, so the
+    # residual over 1-beta is the relative drift of the row sums per row
+    specs = standard_grid() if family == "standard" else _beta_sweep(family)
+    for spec in specs:
+        p = abgx(spec)
+        alpha, beta, gamma, chi = map(Fraction, (p.alpha, p.beta, p.gamma, p.chi))
+        residual = abs(alpha + beta + gamma - 1)
+        assert residual == 0 or residual / (1 - beta) <= Fraction(1e-16), spec.label()
+        if p.beta >= 0.5:
+            assert beta + chi == 1, spec.label()
+        else:
+            assert abs(beta + chi - 1) <= Fraction(2) ** -54, spec.label()
 
 
 def test_conjugate_at_unit_gain_is_flagged():

@@ -197,6 +197,16 @@ OUT_OF_DOMAIN_ARGV = {
                                  "--imax", "2", "--tail-tol", "5"], "tail_tol=5"),
     "grid-nmax-negative": (["grid", "--family", "lossy", "--eta", "0.5", "--N", "1",
                             "--nmax", "-1"], "n_max"),
+    "grid-multinomial-row-negative": (["grid", "--family", "lossy", "--eta", "0.5", "--N", "1",
+                                       "--oracle", "multinomial", "--row", "-1", "--nmax", "5"],
+                                      "i=-1"),
+    "grid-multinomial-nmax-negative": (["grid", "--family", "lossy", "--eta", "0.5", "--N", "1",
+                                        "--oracle", "multinomial", "--row", "2", "--nmax", "-1"],
+                                       "n_max=-1"),
+    "grid-series-row-negative": (["grid", "--family", "lossy", "--eta", "0.5", "--N", "1",
+                                  "--oracle", "series", "--row", "-1", "--nmax", "5"], "i=-1"),
+    "grid-special-row-negative": (["grid", "--family", "lossy", "--eta", "0.5", "--N", "0",
+                                   "--oracle", "special", "--row", "-1", "--nmax", "5"], "i=-1"),
     "mixture-weights-nan": (["mixture", "--family", "amp", "--g", "2", "--N", "0",
                              "--weights=nan,1"], "mixture coefficients"),
     "entropy-order-nan": (["entropy", "--family", "lossy", "--eta", "0.5", "--N", "1",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,17 @@ def test_ladder_conjugate_amplifier():
     report = ladder_verify(make_channel("conj", g=2.0, thermal_N=1.0), i_max=30)
     assert report.passed
     assert report.worst_slack >= -1e-12
+
+
+@pytest.mark.parametrize("i_max", [300, 600])
+def test_ladder_on_a_steep_conjugate_amplifier(i_max):
+    # beta = 0.995: a one-ulp alpha+beta+gamma-1 residual would grow by
+    # 1/(1-beta) per row and push row 50 past the normalization tolerance
+    spec = make_channel("conj", g=2.0, thermal_N=99.0)
+    report = ladder_verify(spec, i_max=i_max)
+    assert report.passed
+    grid = grid_recurrence(abgx(spec), i_max)
+    assert max(math.fsum(row) for row in grid.rows) - 1.0 <= 1e-13
 
 
 def test_mixture_shift_no_shift_is_equivalent():
@@ -229,6 +242,18 @@ def test_search_skips_tail_ambiguous_energy_pairs():
                                      corpus)
     assert findings.n_skipped == 1
     assert findings.n_energy_pairs == 0
+
+
+def test_search_carries_input_tails_into_output_tails():
+    # each input keeps 0.1 beyond its weights; an output tail without that
+    # mass leaves the output summing to 0.9
+    rho = FockDiagonalState.from_weights([0.6, 0.3], tail=0.1)
+    sigma = FockDiagonalState.from_weights([0.3, 0.6], tail=0.1)
+    corpus = [CorpusPair(rho, sigma, "fock", "tailed")]
+    findings = counterexample_search(make_channel("lossy", eta=0.5, thermal_N=1.0),
+                                     corpus)
+    assert findings.n_fock_pairs == 1
+    assert findings.fock_ok
 
 
 def test_fock_order_preserved_across_channels():

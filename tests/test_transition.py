@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -269,3 +270,82 @@ def test_analytic_special_vacuum_any_channel():
     law = analytic_special(spec, 0, 6)
     np.testing.assert_allclose(law, p.chi * p.beta ** np.arange(7),
                                rtol=0, atol=1e-15)
+
+
+def exact_trinomial(p, i, columns):
+    """The original trinomial sum at T[i][n] for each n in columns, evaluated
+    exactly in rationals from the binary64 parameters (test-local reference
+    for row_multinomial)."""
+    alpha, beta, gamma, chi = (Fraction(v) for v in (p.alpha, p.beta, p.gamma, p.chi))
+    return [chi * sum(math.comb(i + n - c, i - c) * math.comb(n, c)
+                      * alpha ** (i - c) * beta ** (n - c) * gamma ** c
+                      for c in range(min(i, n) + 1))
+            for n in columns]
+
+
+def exact_deviation(values, exact):
+    return float(max(abs(Fraction(float(v)) - e) for v, e in zip(values, exact)))
+
+
+ORACLE_CHANNELS = (make_channel("lossy", eta=0.7, thermal_N=0.5),
+                   make_channel("lossy", eta=0.1, thermal_N=2.0),   # gamma < 0
+                   make_channel("amp", g=2.0, thermal_N=0.5),
+                   make_channel("amp", g=5.0, thermal_N=2.0),       # gamma < 0
+                   make_channel("noise", added_n=0.5),
+                   make_channel("noise", added_n=2.0),              # gamma < 0
+                   make_channel("conj", g=5.0, thermal_N=2.0),      # gamma < 0
+                   make_channel("lossy", eta=1.0, thermal_N=1.0),   # identity
+                   make_channel("lossy", eta=0.0, thermal_N=1.0),   # eta = 0
+                   make_channel("lossy", eta=0.3, thermal_N=0.0),   # N = 0 loss
+                   make_channel("amp", g=2.5, thermal_N=0.0),       # N = 0 amplifier
+                   make_channel("conj", g=1.0, thermal_N=1.5))      # conj at g = 1
+
+
+@pytest.mark.parametrize("spec", ORACLE_CHANNELS, ids=lambda s: s.label())
+def test_multinomial_matches_exact_trinomial_sum(spec):
+    p = abgx(spec)
+    for i in range(13):
+        assert exact_deviation(row_multinomial(p, i, 30),
+                               exact_trinomial(p, i, range(31))) <= 2e-16
+
+
+@pytest.mark.parametrize("spec", ORACLE_CHANNELS[:7], ids=lambda s: s.label())
+@pytest.mark.parametrize("i, n", [(20, 45), (40, 25), (40, 150)])
+def test_multinomial_exact_beyond_small_totals(spec, i, n):
+    # i + n > 60, where the sum used to switch to a log-domain regime
+    p = abgx(spec)
+    columns = range(n - 2, n + 1)
+    assert exact_deviation(row_multinomial(p, i, n)[n - 2:],
+                           exact_trinomial(p, i, columns)) <= 2e-16
+
+
+def test_multinomial_is_independent_of_the_other_paths(monkeypatch):
+    from fockladder import kernels
+
+    params = [abgx(make_channel("amp", g=2.0, thermal_N=0.5)),    # gamma >= 0
+              abgx(make_channel("conj", g=5.0, thermal_N=2.0))]   # gamma < 0
+    assert params[0].gamma > 0.0 > params[1].gamma
+    expect = [grid_recurrence(p, 6, n_max=40).rows[6] for p in params]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the closed-form oracle used another path")
+
+    for module, name in ((transition, "recurrence_grid"), (transition, "grid_recurrence"),
+                         (transition, "series_rectangle"), (kernels, "recurrence_grid"),
+                         (kernels, "geometric_scan"), (kernels, "ladder_matvec")):
+        monkeypatch.setattr(module, name, forbidden)
+    for p, row in zip(params, expect):
+        assert np.abs(row_multinomial(p, 6, 40) - row).max() <= 1e-15
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, s: row_multinomial(p, -1, 5), lambda p, s: row_multinomial(p, 2, -1),
+    lambda p, s: row_series(p, -1, 5), lambda p, s: row_series(p, 2, -1),
+    lambda p, s: series_rectangle(p, -1, 5), lambda p, s: series_rectangle(p, 2, -1),
+    lambda p, s: analytic_special(s, -1, 5), lambda p, s: analytic_special(s, 0, -1),
+], ids=["multinomial-row", "multinomial-nmax", "series-row", "series-nmax",
+        "rectangle-imax", "rectangle-nmax", "special-row", "special-nmax"])
+def test_single_row_oracles_reject_negative_indices(call):
+    spec = make_channel("conj", g=2.0, thermal_N=1.0)
+    with pytest.raises(DomainError):
+        call(abgx(spec), spec)
