@@ -10,15 +10,23 @@ seeded by T[0][0] = chi. ``grid_recurrence`` runs that recurrence (the
 production path, one geometric scan per row). Two independent oracles
 recompute single rows: ``row_multinomial`` evaluates the closed-form
 trinomial-expansion sum, and ``row_series`` extracts coefficients of
-h(x, z) by iterated truncated polynomial multiplication of geometric
-series. ``analytic_special`` supplies textbook laws for the physically
-solvable corners.
+h(x, z) from ``series_rectangle``. That sums h = chi*U/(1 - nu*x*z*U),
+U = 1/((1 - alpha*x)(1 - beta*z)), as the separable terms
+nu**k (x*z)**k U**(k+1). Their one-variable factors come from iterated
+truncated multiplication with 1/(1 - alpha*x) and 1/(1 - beta*z), in the
+oracle's own sequential scans. Each z-factor is scaled to a maximum of 1
+and the scale is carried into its x-factor. One matrix product then adds
+all terms. ``analytic_special`` supplies textbook laws for the physically
+solvable corners, evaluated in decimal arithmetic so that no binomial
+coefficient is converted to binary64.
 
 The trinomial coefficient factors exactly as C(i, c) * C(i+n-c, i), so
 ``row_multinomial`` evaluates each row as one convolution of two
 exact-binomial factors, built in decimal arithmetic with 40 digits beyond
 the row's total absolute term mass. It keeps no table between calls, and
-it never calls the recurrence, the kernels or the series extraction.
+it never calls the recurrence, the kernels or the series extraction; the
+series extraction in turn never calls the recurrence, the kernels or the
+closed-form sum.
 """
 
 from __future__ import annotations
@@ -233,34 +241,35 @@ def row_multinomial(params: ChannelParams, i: int, n_max: int) -> np.ndarray:
 
 
 def series_rectangle(params: ChannelParams, i_max: int, n_max: int) -> np.ndarray:
-    """Coefficients of h(x, z) on the rectangle [0..i_max] x [0..n_max] by
-    iterated truncated polynomial multiplication of geometric series.
+    """Coefficients of h(x, z) on the rectangle [0..i_max] x [0..n_max] as a
+    sum of separable terms, built by iterated truncated multiplication of
+    geometric series.
 
-    Uses the factored form h = chi * U / (1 - nu*x*z*U) with
-    U(x, z) = 1/((1 - alpha*x)(1 - beta*z)), iterating H <- U + nu*xz*(U*H)
-    to the fixed point. Every quantity is nonnegative, so the extraction
-    is stable for all four families (the raw trinomial expansion is not
-    once gamma < 0). Multiplication by U is carried out as one geometric
-    scan per variable.
+    With U = 1/((1 - alpha*x)(1 - beta*z)), h = chi*U/(1 - nu*x*z*U) =
+    chi * sum_k nu**k (x*z)**k U**(k+1), and U**(k+1) factors, so the
+    rectangle is one matrix product chi * A.T @ B over k <= min(i_max, n_max):
+    A[k] holds the coefficients of nu**k x**k/(1 - alpha*x)**(k+1), B[k]
+    those of z**k/(1 - beta*z)**(k+1). Each factor row is the previous one
+    shifted by one power and scanned once with 1/(1 - alpha*x) or
+    1/(1 - beta*z). Every term is nonnegative, so this is stable for all four
+    families. Each B[k] is scaled to a maximum of 1, the factor carried into
+    A[k]; as A[k, a] * B[k, b] <= h[a, b] / chi, neither overflows. Uses
+    none of the recurrence, the kernels or the closed-form sum.
     """
     _check_indices(i_max=i_max, n_max=n_max)
-    alpha, beta, nu, chi = params.alpha, params.beta, params.nu, params.chi
-    a_pow = alpha ** np.arange(i_max + 1, dtype=np.float64)
-    b_pow = beta ** np.arange(n_max + 1, dtype=np.float64)
-    U = np.outer(a_pow, b_pow)
-    H = U.copy()
-    scratch = np.empty_like(U)
+
+    def times_geometric(row: list[float], ratio: float) -> np.ndarray:
+        return np.fromiter(accumulate(row, lambda acc, v: v + ratio * acc), float, len(row))
+
+    A = [times_geometric([1.0] + [0.0] * i_max, params.alpha)]
+    B = [times_geometric([1.0] + [0.0] * n_max, params.beta)]
     for _ in range(min(i_max, n_max)):
-        # scratch = U (*) H, i.e. C[a,b] = sum_{a'<=a,b'<=b} a_pow[a-a'] b_pow[b-b'] H[a',b']
-        scratch[0] = H[0]
-        for a in range(1, i_max + 1):
-            scratch[a] = H[a] + alpha * scratch[a - 1]
-        for b in range(1, n_max + 1):
-            scratch[:, b] += beta * scratch[:, b - 1]
-        new = U.copy()
-        new[1:, 1:] += nu * scratch[:-1, :-1]
-        H = new
-    return chi * H
+        b = times_geometric([0.0] + B[-1][:-1].tolist(), params.beta)
+        top = b.max()
+        B.append(b / top)
+        A.append(times_geometric([0.0] + (params.nu * top * A[-1][:-1]).tolist(),
+                                 params.alpha))
+    return params.chi * (np.array(A).T @ np.array(B))
 
 
 def row_series(params: ChannelParams, i: int, n_max: int) -> np.ndarray:
@@ -282,6 +291,10 @@ def analytic_special(spec: ChannelSpec, i: int, n_max: int) -> np.ndarray | None
     noiseless loss (N=0)      -> Binomial(i, eta)
     noiseless amplifier (N=0) -> C(n, i) g**-(i+1) (1-1/g)**(n-i) for n >= i
     vacuum input (i=0), any   -> geometric chi * beta**n
+
+    The binomial laws are evaluated with 40 significant decimal digits:
+    their coefficients pass 1e308 at large indices, where they cannot be
+    converted to binary64, while every term is a probability.
     """
     _check_indices(i=i, n_max=n_max)
     out = np.zeros(n_max + 1)
@@ -290,14 +303,20 @@ def analytic_special(spec: ChannelSpec, i: int, n_max: int) -> np.ndarray | None
             out[i] = 1.0
         return out
     if spec.family is Family.LOSSY and spec.thermal_N == 0.0:
-        eta = spec.eta
-        for n in range(min(i, n_max) + 1):
-            out[n] = math.comb(i, n) * eta ** n * (1.0 - eta) ** (i - n)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            eta = Decimal(spec.eta)
+            kept, lost = _powers(eta, i), _powers(1 - eta, i)
+            for n in range(min(i, n_max) + 1):
+                out[n] = math.comb(i, n) * kept[n] * lost[i - n]
         return out
     if spec.family is Family.AMP and spec.thermal_N == 0.0:
-        g = spec.g
-        for n in range(i, n_max + 1):
-            out[n] = math.comb(n, i) * (1.0 / g) ** (i + 1) * (1.0 - 1.0 / g) ** (n - i)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            inv_g = 1 / Decimal(spec.g)
+            head, gained = inv_g ** (i + 1), _powers(1 - inv_g, max(0, n_max - i))
+            for n in range(i, n_max + 1):
+                out[n] = math.comb(n, i) * head * gained[n - i]
         return out
     if i == 0:
         p = abgx(spec)

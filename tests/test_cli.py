@@ -229,6 +229,23 @@ def test_non_finite_or_negative_input_exits_2_without_traceback(argv, named):
     assert done.stderr.startswith("error: ") and named in done.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["--family", "lossy", "--eta", "0.5", "--N", "0", "--row", "1100", "--nmax", "1100"],
+    ["--family", "amp", "--g", "1.5", "--N", "0", "--row", "300", "--nmax", "3000"],
+], ids=["loss-row-1100", "amp-row-300"])
+def test_special_laws_beyond_binary64_binomials_exit_0(argv):
+    import fockladder
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(fockladder.__file__)))
+    done = subprocess.run([sys.executable, "-m", "fockladder.cli", "grid", "--oracle",
+                           "special", "--format", "csv", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert "Traceback" not in done.stderr
+    row = [float(v) for v in done.stdout.split(",")]
+    assert len(row) == int(argv[-1]) + 1 and abs(sum(row) - 1.0) <= 1e-12
+
+
 def test_ladder_passes(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, monkeypatch,
                            ["ladder", "--family", "amp", "--g", "2", "--N", "0",

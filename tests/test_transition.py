@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockladder import (DomainError, TruncationError, abgx, analytic_special, grid_recurrence,
                         make_channel, row_multinomial, row_series,
@@ -349,3 +351,72 @@ def test_single_row_oracles_reject_negative_indices(call):
     spec = make_channel("conj", g=2.0, thermal_N=1.0)
     with pytest.raises(DomainError):
         call(abgx(spec), spec)
+
+
+def test_series_is_independent_of_the_other_paths(monkeypatch):
+    from fockladder import kernels
+
+    params = [abgx(make_channel("amp", g=2.0, thermal_N=0.5)),    # gamma >= 0
+              abgx(make_channel("conj", g=5.0, thermal_N=2.0))]   # gamma < 0
+    assert params[0].gamma >= 0.0 > params[1].gamma
+    expect = [grid_recurrence(p, 12, n_max=80).rows for p in params]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the series oracle used another path")
+
+    for module, name in ((kernels, "geometric_scan"), (kernels, "recurrence_grid"),
+                         (kernels, "ladder_matvec"), (transition, "recurrence_grid"),
+                         (transition, "grid_recurrence"), (transition, "row_multinomial")):
+        monkeypatch.setattr(module, name, forbidden)
+    for p, rows in zip(params, expect):
+        assert np.abs(series_rectangle(p, 12, 80) - rows).max() <= 1e-15
+
+
+@pytest.mark.parametrize("spec, i_max, n_max", [
+    (make_channel("conj", g=2.0, thermal_N=99.0), 300, 6000),
+    (make_channel("amp", g=50.0, thermal_N=0.5), 200, 6000),
+    (make_channel("lossy", eta=0.5, thermal_N=1e-320), 40, 200),   # subnormal beta
+], ids=["conj-g2-N99", "amp-g50-N0.5", "lossy-subnormal-beta"])
+def test_series_stays_finite_at_extremes(spec, i_max, n_max):
+    # unscaled factors overflow to inf * 0 = NaN in the first two cases
+    p = abgx(spec)
+    rect = series_rectangle(p, i_max, n_max)
+    assert np.isfinite(rect).all()
+    assert np.abs(rect - grid_recurrence(p, i_max, n_max=n_max).rows).max() <= 1e-12
+
+
+def channel_at_beta(family, beta, u):
+    """The channel of the family whose abgx beta is (up to rounding) beta;
+    u in [0, 1] picks the environment."""
+    if family == "noise":
+        return make_channel("noise", added_n=beta / (1.0 - beta))
+    if family == "amp":
+        y = 0.99 * u
+        return make_channel("amp", g=(1.0 - beta * y) / (1.0 - beta), thermal_N=y / (1.0 - y))
+    if family == "conj":
+        y = beta * u
+        return make_channel("conj", g=(1.0 - y) / (1.0 - beta), thermal_N=y / (1.0 - y))
+    y = beta + (0.99 - beta) * u   # lossy needs y >= beta
+    eta = 1.0 if y == 0.0 else min(1.0, max(0.0, (y - beta) / (y * (1.0 - beta))))
+    return make_channel("lossy", eta=eta, thermal_N=y / (1.0 - y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["lossy", "amp", "conj", "noise"]), st.floats(0.0, 0.99),
+       st.floats(0.0, 1.0), st.integers(0, 12), st.integers(0, 40))
+def test_series_matches_the_recurrence_everywhere(family, beta, u, i_max, n_max):
+    p = abgx(channel_at_beta(family, beta, u))
+    rect = series_rectangle(p, i_max, n_max)
+    assert rect.shape == (i_max + 1, n_max + 1)
+    assert np.abs(rect - grid_recurrence(p, i_max, n_max=n_max).rows).max() <= 1e-13
+
+
+@pytest.mark.parametrize("spec, i, n_max", [
+    (make_channel("lossy", eta=0.5, thermal_N=0.0), 1100, 1100),
+    (make_channel("amp", g=1.5, thermal_N=0.0), 300, 3000),
+], ids=["loss-row-1100", "amp-row-300"])
+def test_analytic_special_at_binomials_beyond_binary64(spec, i, n_max):
+    # C(1100, 550) and C(3000, 300) exceed the largest binary64
+    law = analytic_special(spec, i, n_max)
+    grid = grid_recurrence(abgx(spec), i, n_max=n_max)
+    assert np.abs(law - grid.rows[i]).max() <= 1e-12
