@@ -109,6 +109,14 @@ def _spec_from_args(args):
                         thermal_N=args.N, added_n=args.n)
 
 
+def _read_stdin_object() -> dict:
+    """The JSON object on stdin; DomainError for any other JSON value."""
+    payload = json.load(sys.stdin)
+    if not isinstance(payload, dict):
+        raise DomainError("stdin", payload, "a JSON object")
+    return payload
+
+
 def _parse_weights(text: str) -> np.ndarray:
     return np.array([float(t) for t in text.split(",")], dtype=np.float64)
 
@@ -241,7 +249,7 @@ def _cmd_dmat(args) -> int:
     spec = _spec_from_args(args)
     D = build_D(abgx(spec), args.dim)
     if args.power is not None:
-        payload = json.load(sys.stdin)
+        payload = _read_stdin_object()
         state = FockDiagonalState.from_weights(payload["v"],
                                                payload.get("tail", 0.0))
         out = apply_D_power(D.params, args.power, state, out_len=args.dim)
@@ -258,7 +266,7 @@ def _cmd_dmat(args) -> int:
 
 
 def _cmd_majorize(args) -> int:
-    payload = json.load(sys.stdin)
+    payload = _read_stdin_object()
     p = FockDiagonalState.from_weights(payload["p"], payload.get("p_tail", 0.0))
     q = FockDiagonalState.from_weights(payload["q"], payload.get("q_tail", 0.0))
     compare = fock_compare if args.unordered else majorize_compare

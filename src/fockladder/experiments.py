@@ -74,19 +74,26 @@ class LadderReport:
 def ladder_verify(spec: ChannelSpec, i_max: int = 30, tol: float = 1e-12,
                   tail_tol: float = 1e-10) -> LadderReport:
     """Check that each output row majorizes the next one, for Fock inputs
-    0..i_max, and cross-check each step through the ladder matrix. All
-    i_max steps are decided in one compare_stack call and witnessed by one
-    ladder_matvec over the stack of rows 0..i_max-1."""
+    0..i_max, and cross-check each step through the ladder matrix.
+
+    Every row is validated, sorted and summed once: one prefix_sums call
+    over rows 0..i_max, whose consecutive differences give the margins of
+    all i_max steps, decided in one decide call, exactly as compare_stack
+    would decide rows[:-1] against rows[1:]. The prefix sums are released
+    before one ladder_matvec over the stack of rows 0..i_max-1 witnesses
+    every step."""
     if i_max < 1:
         raise DomainError("i_max", i_max, "i_max >= 1")
     params = abgx(spec)
     grid = grid_recurrence(params, i_max, tail_tol)
-    steps = compare_stack(grid.rows[:-1], grid.rows[1:], grid.tails[:-1],
-                          grid.tails[1:], tol)
+    prefix = prefix_sums(grid.rows, grid.tails, sort=True, name="t")
+    steps = decide(prefix[:-1] - prefix[1:], tol, grid.tails[:-1], grid.tails[1:])
+    del prefix
     verdicts = tuple(steps.verdict(i) for i in range(i_max))
     image = ladder_matvec(params.alpha, params.beta, params.nu, grid.rows[:-1],
                           grid.n_max + 1)
-    witness_err = float(np.abs(image - grid.rows[1:]).max())
+    image -= grid.rows[1:]
+    witness_err = float(np.abs(image, out=image).max())
     passed = all(v.holds_left for v in verdicts)
     return LadderReport(channel=spec, i_max=i_max, verdicts=verdicts,
                         worst_slack=float(steps.left_slack.min()),
@@ -420,6 +427,8 @@ def conjecture_scan(spec: ChannelSpec, length: int, tol: float = 1e-12,
     if not 2 <= length <= MAX_SCAN_LENGTH:
         raise DomainError("length", length,
                           f"2 <= length <= {MAX_SCAN_LENGTH} (exhaustive enumeration)")
+    if nonbinary_samples < 0:
+        raise DomainError("nonbinary_samples", nonbinary_samples, "nonbinary_samples >= 0")
     grid = _ensure_grid(spec, length - 1, grid)
     plan = _scan_plan(length)
     relation, slack, left_slack = _decide_plan(grid, plan, tol)

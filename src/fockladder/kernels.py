@@ -10,16 +10,14 @@ exactly as a 1-D call would process it.
 import numpy as np
 
 
-def geometric_scan(beta, x):
-    """Return y[n] = sum_{m<=n} beta**m * x[n-m], i.e. y[n] = x[n] + beta*y[n-1],
-    along the last axis of x.
+def _scan_in_place(beta, y):
+    """Overwrite y with its geometric scan along the last axis and return it.
 
     Doubling (Hillis-Steele) scan: after the step with stride s, y[n] sums
     the terms m < 2s. Each factor is one pow, beta**s, because repeated
     squaring compounds its rounding into the row sums. The scan stops once
     the factor underflows to zero, since every later term is zero too.
     """
-    y = np.array(x, dtype=np.float64)
     s = 1
     while s < y.shape[-1]:
         b = beta ** s
@@ -30,20 +28,27 @@ def geometric_scan(beta, x):
     return y
 
 
+def geometric_scan(beta, x):
+    """Return y[n] = sum_{m<=n} beta**m * x[n-m], i.e. y[n] = x[n] + beta*y[n-1],
+    along the last axis of x, leaving x unchanged."""
+    return _scan_in_place(beta, np.array(x, dtype=np.float64))
+
+
 def recurrence_grid(alpha, beta, gamma, chi, i_max, n_max):
     """Fill the transition table T[i][n] for 0 <= i <= i_max, 0 <= n <= n_max.
 
     T[0][0] = chi, T[i][n] = alpha*T[i-1][n] + beta*T[i][n-1]
     + gamma*T[i-1][n-1], with out-of-range entries treated as zero. Row i
-    is the scan of alpha*T[i-1][n] + gamma*T[i-1][n-1].
+    is the scan of alpha*T[i-1][n] + gamma*T[i-1][n-1], built and scanned in
+    place.
     """
     rows = np.zeros((i_max + 1, n_max + 1), dtype=np.float64)
     rows[0, 0] = chi
-    rows[0] = geometric_scan(beta, rows[0])
+    _scan_in_place(beta, rows[0])
     for i in range(1, i_max + 1):
-        x = alpha * rows[i - 1]
-        x[1:] += gamma * rows[i - 1, :-1]
-        rows[i] = geometric_scan(beta, x)
+        np.multiply(alpha, rows[i - 1], out=rows[i])
+        rows[i, 1:] += gamma * rows[i - 1, :-1]
+        _scan_in_place(beta, rows[i])
     return rows
 
 
@@ -53,12 +58,13 @@ def ladder_matvec(alpha, beta, nu, v, out_len):
 
     out[k] = alpha*v[k] + nu * sum_{m>=1} beta**(m-1) * v[k-m], with v
     zero-padded or cut to out_len entries; the sum is the scan of v
-    shifted down by one.
+    shifted down by one, taken in the output buffer.
     """
     v = np.asarray(v, dtype=np.float64)[..., :out_len]
     n = v.shape[-1]
-    shifted = np.zeros(v.shape[:-1] + (out_len,))
-    shifted[..., 1:n + 1] = v[..., :out_len - 1]
-    out = nu * geometric_scan(beta, shifted)
+    out = np.zeros(v.shape[:-1] + (out_len,))
+    out[..., 1:n + 1] = v[..., :out_len - 1]
+    _scan_in_place(beta, out)
+    out *= nu
     out[..., :n] += alpha * v
     return out

@@ -29,6 +29,18 @@ NORMALIZATION_TOL = 1e-12
 DEFAULT_TOL = 1e-12
 
 
+def _float_array(value, ndim: int, name: str, requirement: str) -> np.ndarray:
+    """value as a new float array of ndim dimensions; DomainError for any
+    other shape or for entries that are not numbers (a JSON object, say)."""
+    try:
+        a = np.array(value, dtype=np.float64)
+    except TypeError:
+        raise DomainError(name, value, requirement) from None
+    if a.ndim != ndim:
+        raise DomainError(name, value, requirement)
+    return a
+
+
 @dataclass(frozen=True)
 class FockDiagonalState:
     """Probability weights over Fock indices 0..len-1 plus truncated tail mass."""
@@ -38,9 +50,12 @@ class FockDiagonalState:
 
     @classmethod
     def from_weights(cls, weights, tail: float = 0.0) -> "FockDiagonalState":
-        w = np.asarray(weights, dtype=np.float64).copy()
+        """A state holding a copy of the weights. Raises DomainError unless
+        the weights are a 1-D sequence of numbers and the tail is a number."""
+        w = _float_array(weights, 1, "weights", "a 1-D sequence of numbers")
+        t = _float_array(tail, 0, "tail", "a single number")
         w.setflags(write=False)
-        return cls(weights=w, tail=float(tail))
+        return cls(weights=w, tail=float(t))
 
     @classmethod
     def point_mass(cls, k: int, length: int | None = None) -> "FockDiagonalState":
@@ -177,6 +192,13 @@ def check_rows(weights: np.ndarray, tails: np.ndarray, name: str,
     raise NormalizationError(f"{label}: {reason}")
 
 
+def _check_tol(tol: float) -> None:
+    """Raise DomainError for a NaN or infinite tolerance, which would decide
+    every check vacuously."""
+    if not math.isfinite(tol):
+        raise DomainError("tol", tol, "a finite tolerance")
+
+
 def prefix_sums(weights: np.ndarray, tails: np.ndarray, sort: bool,
                 name: str) -> np.ndarray:
     """Validate each row (see check_rows) and return its prefix sums, taken
@@ -199,8 +221,7 @@ def decide(margins: np.ndarray, tol: float, p_tails: np.ndarray,
     decided the verdict; equivalent pairs report the smaller of the two
     directions, incomparable pairs the near miss (the larger one).
     """
-    if not math.isfinite(tol):
-        raise DomainError("tol", tol, "a finite tolerance")
+    _check_tol(tol)
     i_left = margins.argmin(axis=1)
     i_right = margins.argmax(axis=1)
     left = margins.min(axis=1)
@@ -353,8 +374,10 @@ def check_column_stochastic(D: LadderMatrix, tol: float = DEFAULT_TOL) -> Stocha
     """Audit entries, column sums and row sums of the truncated matrix.
 
     Sums are accumulated numerically from the band entries (shared prefix
-    sums, identical accumulation order to per-column summation).
+    sums, identical accumulation order to per-column summation). Raises
+    DomainError if tol is NaN or infinite.
     """
+    _check_tol(tol)
     alpha, beta, nu, dim = D.alpha, D.beta, D.nu, D.dim
     band = D.band()
     # prefix[t] = alpha + sum of the first t band entries below the diagonal
@@ -403,10 +426,16 @@ def apply_D_power(params: ChannelParams, k: int, v: FockDiagonalState,
 
     The dense power is never materialized. Entries inside the output
     window are exact images of the retained input entries (the matrix is
-    lower-triangular); mass pushed past the window joins the tail.
+    lower-triangular); mass pushed past the window joins the tail. Raises
+    DomainError for k < 0 or an input longer than out_len, and
+    NormalizationError (see check_rows) unless v is a finite distribution.
     """
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise DomainError("k", k, "k >= 0")
+    if out_len is not None and len(v.weights) > out_len:
+        raise DomainError("out_len", out_len,
+                          f"out_len >= {len(v.weights)}, the length of the input")
+    check_rows(v.weights[None, :], np.array([v.tail]), "v")
     if k == 0:
         return v
     if out_len is None:
@@ -417,4 +446,3 @@ def apply_D_power(params: ChannelParams, k: int, v: FockDiagonalState,
         w = ladder_matvec(params.alpha, params.beta, params.nu, w, out_len)
     tail = max(0.0, 1.0 - float(w.sum()))
     return FockDiagonalState.from_weights(w, tail)
-

@@ -123,25 +123,30 @@ def _initial_cutoff(params: ChannelParams, i_max: int, tail_tol: float) -> int:
     return max(0, math.ceil(float(columns.min())) - 1)
 
 
-def _trim(rows: np.ndarray, tails: np.ndarray,
-          tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _trim(rows: np.ndarray, tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Cut rows after the first column at which every row has kept at least
-    1 - tail_tol of its mass, with the tails recomputed. Rows and tails are
-    returned as they are if rounding leaves no such column, or if the
-    recomputed tails exceed tail_tol. The column is found on running sums,
-    which round differently from the sums behind the recomputed tails;
-    where the two disagree at tail_tol, the recomputed tails decide."""
-    short = (1.0 - np.cumsum(rows, axis=1) > tail_tol).any(axis=0)
-    n_max = int(np.argmin(short))
-    if short[n_max]:
-        return rows, tails
-    while n_max > 0 and (1.0 - rows[:, :n_max].sum(axis=1)).max() <= tail_tol:
-        n_max -= 1
-    trimmed = rows[:, :n_max + 1].copy()
-    trimmed_tails = 1.0 - trimmed.sum(axis=1)
-    if trimmed_tails.max() > tail_tol:
-        return rows, tails
-    return trimmed, trimmed_tails
+    1 - tail_tol of its mass; return the cut rows and their tails.
+
+    The ladder matrix only moves mass to higher n, so row i_max has the
+    heaviest tail, and the cut is first guessed on the running sum of that
+    row alone. Running sums round differently from the sums behind the
+    tails, so the tails of all rows, recomputed at the cut, decide: the cut
+    steps forward while they exceed tail_tol and back while one column less
+    still meets it. The forward steps end at the last column, whose tails
+    met tail_tol when the grid was filled."""
+    def tails_at(cut: int) -> np.ndarray:
+        return 1.0 - rows[:, :cut + 1].sum(axis=1)
+
+    last = rows.shape[1] - 1
+    short = 1.0 - np.cumsum(rows[-1]) > tail_tol
+    cut = last if short.all() else int(np.argmin(short))
+    tails = tails_at(cut)
+    while cut < last and tails.max() > tail_tol:
+        cut += 1
+        tails = tails_at(cut)
+    while cut > 0 and (fewer := tails_at(cut - 1)).max() <= tail_tol:
+        cut, tails = cut - 1, fewer
+    return rows[:, :cut + 1].copy(), tails
 
 
 def grid_recurrence(params: ChannelParams, i_max: int,
@@ -178,7 +183,7 @@ def grid_recurrence(params: ChannelParams, i_max: int,
                 f"n_max={hard_cap}")
         n_max = min(2 * n_max, hard_cap)
     if adaptive:
-        rows, tails = _trim(rows, tails, tail_tol)
+        rows, tails = _trim(rows, tail_tol)
         n_max = rows.shape[1] - 1
     raw_min = min(0.0, float(rows.min()))
     np.clip(rows, 0.0, None, out=rows)

@@ -176,6 +176,8 @@ def test_majorize_nan_exits_2_without_traceback():
     assert "not finite" in done.stderr
 
 
+DMAT_POWER = ["dmat", "--family", "lossy", "--eta", "0.5", "--N", "1", "--dim", "4",
+              "--power", "1"]
 OUT_OF_DOMAIN_ARGV = {
     "majorize-tol-nan": (["majorize", "--tol", "nan"], "tol=nan"),
     "majorize-tol-inf": (["majorize", "--tol", "inf"], "tol=inf"),
@@ -211,18 +213,43 @@ OUT_OF_DOMAIN_ARGV = {
                              "--weights=nan,1"], "mixture coefficients"),
     "entropy-order-nan": (["entropy", "--family", "lossy", "--eta", "0.5", "--N", "1",
                            "--imax", "3", "--order", "nan"], "order=nan"),
+    "dmat-check-tol-nan": (["dmat", "--family", "lossy", "--eta", "0.5", "--N", "1",
+                            "--check", "--tol", "nan"], "tol=nan"),
+    "dmat-power-weight-nan": (DMAT_POWER, "v: weight 1 is nan, not finite"),
+    "dmat-power-sum-above-one": (DMAT_POWER, "v: weights+tail=1.2 differs from 1"),
+    "dmat-power-input-longer-than-dim": (DMAT_POWER, "out_len=4"),
+    "dmat-power-stdin-not-an-object": (DMAT_POWER, "stdin=[0.5, 0.5]"),
+    "dmat-power-negative": (DMAT_POWER[:-1] + ["-1"], "k=-1"),
+    "majorize-scalar-weights": (["majorize"], "weights=1"),
+    "majorize-list-tail": (["majorize"], "tail=[0]"),
+    "majorize-object-weights": (["majorize"], "weights=[{'a': 1}]"),
+    "conjecture-nonbinary-negative": (["conjecture", "--family", "lossy", "--eta", "0.5",
+                                       "--N", "1", "--length", "3", "--nonbinary", "-3"],
+                                      "nonbinary_samples=-3"),
+}
+# stdin of the cases that read their own; every other case gets a valid
+# majorize payload
+OUT_OF_DOMAIN_STDIN = {
+    "dmat-power-weight-nan": '{"v": [0.5, NaN]}',
+    "dmat-power-sum-above-one": '{"v": [0.5, 0.7]}',
+    "dmat-power-input-longer-than-dim": '{"v": [1, 0, 0, 0, 0, 0]}',
+    "dmat-power-stdin-not-an-object": '[0.5, 0.5]',
+    "dmat-power-negative": '{"v": [1, 0]}',
+    "majorize-scalar-weights": '{"p": 1, "q": 1}',
+    "majorize-list-tail": '{"p": [1], "q": [1], "p_tail": [0]}',
+    "majorize-object-weights": '{"p": [{"a": 1}], "q": [1]}',
 }
 
 
-@pytest.mark.parametrize("argv, named", OUT_OF_DOMAIN_ARGV.values(),
-                         ids=OUT_OF_DOMAIN_ARGV)
-def test_non_finite_or_negative_input_exits_2_without_traceback(argv, named):
+@pytest.mark.parametrize("case", OUT_OF_DOMAIN_ARGV)
+def test_non_finite_or_negative_input_exits_2_without_traceback(case):
     import fockladder
+    argv, named = OUT_OF_DOMAIN_ARGV[case]
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(fockladder.__file__)))
     done = subprocess.run([sys.executable, "-m", "fockladder.cli", *argv],
-                          input='{"p":[1,0],"q":[1,0]}', capture_output=True,
-                          text=True, env=env, timeout=60)
+                          input=OUT_OF_DOMAIN_STDIN.get(case, '{"p":[1,0],"q":[1,0]}'),
+                          capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 2
     assert done.stdout == ""
     assert "Traceback" not in done.stderr

@@ -5,7 +5,7 @@ import pytest
 
 from fockladder import (DomainError, FockDiagonalState, abgx, chain_check,
                         grid_recurrence, make_channel, renyi, shannon,
-                        thermal_entropy)
+                        standard_grid, thermal_entropy)
 
 
 def fds(values, tail=0.0):
@@ -101,3 +101,13 @@ def test_report_csv_shape():
     lines = text.strip().split("\n")
     assert lines[0] == "i,entropy"
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize("order", [None, 0.0, 0.5, 2.0, math.inf],
+                         ids=["shannon", "0", "0.5", "2", "inf"])
+def test_chain_values_equal_per_row_entropies(order):
+    for spec in standard_grid():
+        grid = grid_recurrence(abgx(spec), 30)
+        states = [FockDiagonalState.from_grid_row(grid, i) for i in range(31)]
+        expect = [shannon(s) if order is None else renyi(s, order) for s in states]
+        np.testing.assert_array_equal(chain_check(grid, order).values, expect)

@@ -24,6 +24,7 @@ def test_geometric_scan_is_the_first_order_recurrence():
     y = kernels.geometric_scan(0.5, x)
     expect = [1.0, 2.5, 1.25, -0.375, 0.3125]  # y[n] = x[n] + 0.5*y[n-1]
     np.testing.assert_array_equal(y, expect)
+    np.testing.assert_array_equal(x, [1.0, 2.0, 0.0, -1.0, 0.5])  # input kept
     np.testing.assert_array_equal(kernels.geometric_scan(0.0, x), x)
     assert kernels.geometric_scan(0.5, np.zeros(0)).shape == (0,)
 

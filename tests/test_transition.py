@@ -115,6 +115,27 @@ def test_adaptive_cutoff_is_the_smallest_meeting_tail_tol(spec, i_max, monkeypat
         assert (1.0 - grid.rows[:, :grid.n_max].sum(axis=1)).max() > tol
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_trim_cuts_at_the_first_column_meeting_tail_tol(seed):
+    # The first row, not the last, has the heaviest tail, so the guess on the
+    # last row's running sum is too early; tail_tol ties the tails at a random
+    # column, so rounding decides the cut.
+    def tails_at(rows, cut):
+        return 1.0 - rows[:, :cut + 1].sum(axis=1)
+
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(400), size=5)
+    rows[0] = np.sort(rows[0])
+    tie = int(rng.integers(1, 398))
+    tail_tol = float(tails_at(rows, tie).max())
+    trimmed, tails = transition._trim(rows, tail_tol)
+    cut = trimmed.shape[1] - 1
+    np.testing.assert_array_equal(trimmed, rows[:, :cut + 1])
+    np.testing.assert_array_equal(tails, 1.0 - trimmed.sum(axis=1))
+    assert tails.max() <= tail_tol and cut <= tie
+    assert cut == 0 or tails_at(rows, cut - 1).max() > tail_tol
+
+
 def test_explicit_n_max_is_not_trimmed():
     p = abgx(make_channel("amp", g=2.0, thermal_N=1.0))
     adaptive = grid_recurrence(p, 20)
