@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DomainError
+from .errors import check_real, require
 
 
 class Family(str, enum.Enum):
@@ -32,16 +32,15 @@ class Family(str, enum.Enum):
     CONJ = "conj"          # phase-conjugating amplifier (output on the idler mode)
 
     @classmethod
-    def parse(cls, text: str) -> "Family":
+    def parse(cls, text) -> "Family":
         aliases = {
             "lossy": cls.LOSSY, "loss": cls.LOSSY, "e": cls.LOSSY,
             "amp": cls.AMP, "amplifier": cls.AMP, "a": cls.AMP,
             "noise": cls.NOISE, "additive": cls.NOISE, "n": cls.NOISE,
             "conj": cls.CONJ, "conjugate": cls.CONJ, "atilde": cls.CONJ,
         }
-        key = text.strip().lower()
-        if key not in aliases:
-            raise DomainError("family", text, f"one of {sorted(set(aliases))}")
+        key = str(text).strip().lower()
+        require(key in aliases, "family", text, f"one of {sorted(set(aliases))}")
         return aliases[key]
 
 
@@ -96,10 +95,7 @@ class ChannelParams:
     nu: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha, "beta": self.beta, "gamma": self.gamma,
-            "chi": self.chi, "nu": self.nu,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -110,14 +106,6 @@ class ValidationReport:
     ok: bool
     notes: tuple
 
-    def to_json_dict(self) -> dict:
-        return {"checks": self.checks, "ok": self.ok, "notes": list(self.notes)}
-
-
-def _require(name, value, ok, requirement):
-    if value is None or not math.isfinite(value) or not ok:
-        raise DomainError(name, value, requirement)
-
 
 def make_channel(family, eta=None, g=None, thermal_N=None, added_n=None) -> ChannelSpec:
     """Validate native parameters and build a ChannelSpec.
@@ -125,25 +113,30 @@ def make_channel(family, eta=None, g=None, thermal_N=None, added_n=None) -> Chan
     Raises DomainError naming the offending parameter. Boundary values
     (eta=1, g=1, added_n=0) are admitted and give the identity channel,
     except for the conjugating family where g=1 replaces the input with
-    the environment state (flagged by validate_params).
+    the environment state (flagged by validate_params). Parameters whose
+    binary64 table row has y = 1 or beta = 1 (chi = 0) are out of domain.
     """
     if not isinstance(family, Family):
-        family = Family.parse(str(family))
+        family = Family.parse(family)
 
-    if family is Family.LOSSY:
-        _require("eta", eta, eta is not None and 0.0 <= eta <= 1.0, "0 <= eta <= 1")
-        N = 0.0 if thermal_N is None else thermal_N
-        _require("thermal_N", N, N >= 0.0, "thermal_N >= 0")
-        return ChannelSpec(family, eta=float(eta), thermal_N=float(N))
-
-    if family in (Family.AMP, Family.CONJ):
-        _require("g", g, g is not None and g >= 1.0, "g >= 1")
-        N = 0.0 if thermal_N is None else thermal_N
-        _require("thermal_N", N, N >= 0.0, "thermal_N >= 0")
-        return ChannelSpec(family, g=float(g), thermal_N=float(N))
-
-    _require("added_n", added_n, added_n is not None and added_n >= 0.0, "added_n >= 0")
-    return ChannelSpec(family, added_n=float(added_n))
+    if family is Family.NOISE:
+        spec = ChannelSpec(family, added_n=check_real(
+            "added_n", added_n, "added_n >= 0", lambda x: x >= 0.0))
+    else:
+        N = check_real("thermal_N", 0.0 if thermal_N is None else thermal_N,
+                       "thermal_N >= 0", lambda x: x >= 0.0)
+        if family is Family.LOSSY:
+            spec = ChannelSpec(family, thermal_N=N, eta=check_real(
+                "eta", eta, "0 <= eta <= 1", lambda x: 0.0 <= x <= 1.0))
+        else:
+            spec = ChannelSpec(family, thermal_N=N,
+                               g=check_real("g", g, "g >= 1", lambda x: x >= 1.0))
+    require(spec.y < 1.0, "thermal_N", spec.thermal_N,
+            "thermal_N/(thermal_N+1) < 1 in binary64")
+    strength = {Family.LOSSY: "thermal_N", Family.NOISE: "added_n"}.get(family, "g")
+    require(abgx(spec).beta < 1.0, strength, getattr(spec, strength),
+            "a table row with beta < 1 in binary64")
+    return spec
 
 
 def abgx(spec: ChannelSpec) -> ChannelParams:
@@ -207,8 +200,10 @@ def validate_params(p: ChannelParams, tol: float = 1e-14,
     residuals of the three identities are evaluated exactly in rationals
     and then rounded to binary64, so a reported 0.0 means the identity
     holds exactly for the binary64 tuple. Sign conditions get 1e-15 slack
-    on top of tol-free exact bounds.
+    on top of tol-free exact bounds. Raises DomainError for a NaN or
+    infinite tol.
     """
+    tol = check_real("tol", tol, "a finite tolerance")
     slack = 1e-15
     alpha, beta, gamma, chi, nu = map(Fraction, (p.alpha, p.beta, p.gamma, p.chi, p.nu))
     residuals = {
@@ -245,10 +240,10 @@ def noise_limit_params(n: float, eps: float, route: LimitRoute) -> ChannelParams
     Converges linearly in eps to the direct added-noise row; exists for
     validating that row, which production code evaluates directly.
     """
-    if not (0.0 < eps < 1.0):
-        raise DomainError("eps", eps, "0 < eps < 1")
-    if n < 0.0:
-        raise DomainError("n", n, "n >= 0")
+    eps = check_real("eps", eps, "0 < eps < 1", lambda x: 0.0 < x < 1.0)
+    n = check_real("n", n, "n >= 0", lambda x: x >= 0.0)
+    require(route in tuple(LimitRoute), "route", route,
+            f"one of {[r.value for r in LimitRoute]}")
     route = LimitRoute(route)
     if route is LimitRoute.VIA_LOSS:
         return abgx(make_channel(Family.LOSSY, eta=1.0 - eps, thermal_N=n / eps))

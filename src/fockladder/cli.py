@@ -19,9 +19,9 @@ import sys
 import numpy as np
 
 from . import entropy as entropy_mod
-from .channel import (Family, LimitRoute, abgx, make_channel,
-                      noise_limit_params, validate_params)
-from .errors import DomainError, NormalizationError, TruncationError, WitnessError
+from .channel import abgx, make_channel, noise_limit_params, validate_params
+from .errors import (DomainError, NormalizationError, TruncationError, WitnessError,
+                     check_index, require)
 from .experiments import (conjecture_scan, ladder_verify, mixture_shift_check,
                           mixture_vs_lowest_fock, DEFAULT_SEED)
 from .majorization import (FockDiagonalState, apply_D_power, build_D,
@@ -46,14 +46,6 @@ OPERATIONS = {
 }
 
 
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not serializable: {type(value)!r}")
-
-
 def _emit_json(obj) -> str:
     """json.dumps with floats at 17 significant digits."""
 
@@ -61,20 +53,17 @@ def _emit_json(obj) -> str:
         if isinstance(x, dict):
             return "{" + ",".join(f"{json.dumps(str(k))}:{walk(v)}"
                                   for k, v in x.items()) + "}"
-        if isinstance(x, (list, tuple)):
+        if isinstance(x, (list, tuple, np.ndarray)):
             return "[" + ",".join(walk(v) for v in x) + "]"
-        if isinstance(x, bool):
+        if isinstance(x, (bool, np.bool_)):
             return "true" if x else "false"
         if isinstance(x, (np.floating, float)):
-            x = float(x)
-            if not math.isfinite(x):
-                return json.dumps(str(x))
-            return f"{x:.17g}"
+            return f"{float(x):.17g}" if math.isfinite(x) else json.dumps(str(float(x)))
         if isinstance(x, (np.integer, int)):
             return str(int(x))
         if x is None:
             return "null"
-        return json.dumps(x, default=_json_default)
+        return json.dumps(x)
 
     return walk(obj) + "\n"
 
@@ -85,8 +74,11 @@ def _write(text: str, out: str | None) -> None:
         return
     if not os.path.isabs(out):
         out = os.path.join(os.environ.get("FOCKLADDER_OUT_DIR", "."), out)
-    with open(out, "w") as fh:
-        fh.write(text)
+    try:
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        require(False, "out", out, f"a writable file path ({exc.strerror})")
 
 
 def _add_channel_flags(sub) -> None:
@@ -105,20 +97,28 @@ def _add_io_flags(sub) -> None:
 
 
 def _spec_from_args(args):
-    return make_channel(Family.parse(args.family), eta=args.eta, g=args.g,
-                        thermal_N=args.N, added_n=args.n)
+    return make_channel(args.family, eta=args.eta, g=args.g, thermal_N=args.N,
+                        added_n=args.n)
 
 
-def _read_stdin_object() -> dict:
-    """The JSON object on stdin; DomainError for any other JSON value."""
-    payload = json.load(sys.stdin)
-    if not isinstance(payload, dict):
-        raise DomainError("stdin", payload, "a JSON object")
+def _parse(name: str, text: str, parse, requirement: str):
+    """parse(text), or DomainError naming the argument when it cannot be parsed."""
+    try:
+        return parse(text)
+    except ValueError:
+        require(False, name, text, requirement)
+
+
+def _read_stdin_object(*keys: str) -> dict:
+    """The JSON object on stdin, which must hold the given keys; DomainError
+    for any other input."""
+    try:
+        payload = json.loads(sys.stdin.read())
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
+        require(False, "stdin", exc, "a JSON object")
+    require(isinstance(payload, dict) and all(key in payload for key in keys), "stdin",
+            payload, f"a JSON object with the keys {list(keys)}")
     return payload
-
-
-def _parse_weights(text: str) -> np.ndarray:
-    return np.array([float(t) for t in text.split(",")], dtype=np.float64)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,9 +221,8 @@ def _cmd_grid(args) -> int:
     spec = _spec_from_args(args)
     params = abgx(spec)
     if args.oracle != "recurrence":
-        if args.row is None or args.nmax is None:
-            raise DomainError("row/nmax", None,
-                              "single-row oracles need --row and --nmax")
+        require(args.row is not None and args.nmax is not None, "row/nmax", None,
+                "single-row oracles need --row and --nmax")
         if args.oracle == "multinomial":
             row = row_multinomial(params, args.row, args.nmax)
         elif args.oracle == "series":
@@ -249,7 +248,7 @@ def _cmd_dmat(args) -> int:
     spec = _spec_from_args(args)
     D = build_D(abgx(spec), args.dim)
     if args.power is not None:
-        payload = _read_stdin_object()
+        payload = _read_stdin_object("v")
         state = FockDiagonalState.from_weights(payload["v"],
                                                payload.get("tail", 0.0))
         out = apply_D_power(D.params, args.power, state, out_len=args.dim)
@@ -266,7 +265,7 @@ def _cmd_dmat(args) -> int:
 
 
 def _cmd_majorize(args) -> int:
-    payload = _read_stdin_object()
+    payload = _read_stdin_object("p", "q")
     p = FockDiagonalState.from_weights(payload["p"], payload.get("p_tail", 0.0))
     q = FockDiagonalState.from_weights(payload["q"], payload.get("q_tail", 0.0))
     compare = fock_compare if args.unordered else majorize_compare
@@ -283,12 +282,8 @@ def _cmd_ladder(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    if args.order == "shannon":
-        order = None
-    elif args.order == "inf":
-        order = math.inf
-    else:
-        order = float(args.order)
+    order = None if args.order == "shannon" else _parse(
+        "order", args.order, float, "'shannon', a number >= 0 or 'inf'")
     grid = grid_recurrence(abgx(_spec_from_args(args)), args.imax, args.tail_tol)
     report = entropy_mod.chain_check(grid, order)
     if args.bits:
@@ -307,7 +302,8 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_mixture(args) -> int:
     spec = _spec_from_args(args)
-    weights = _parse_weights(args.weights)
+    weights = _parse("weights", args.weights,
+                     lambda text: [float(t) for t in text.split(",")], "comma-separated numbers")
     check = mixture_shift_check if args.mode == "shift" else mixture_vs_lowest_fock
     verdict = check(spec, weights, args.k, args.tol)
     payload = {"channel": spec.to_json_dict(), "mode": args.mode, "k": args.k,
@@ -324,8 +320,7 @@ def _cmd_conjecture(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    route = LimitRoute.VIA_LOSS if args.route == "loss" else LimitRoute.VIA_AMP
-    approx = noise_limit_params(args.n, args.eps, route)
+    approx = noise_limit_params(args.n, args.eps, args.route)
     target = abgx(make_channel("noise", added_n=args.n))
     err = max(abs(getattr(approx, k) - getattr(target, k))
               for k in ("alpha", "beta", "gamma", "chi", "nu"))
@@ -372,8 +367,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_index("seed", args.seed, 0, math.inf)
         return _DISPATCH[args.command](args)
-    except (DomainError, NormalizationError, ValueError, KeyError) as exc:
+    except (DomainError, NormalizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TruncationError, WitnessError) as exc:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams
-from .errors import DomainError
+from .errors import check_real
 from .majorization import FockDiagonalState
 from .transition import TransitionGrid
 
@@ -22,9 +22,8 @@ CHAIN_TOL = 1e-12
 
 def _entropy(weights: np.ndarray, order: float | None) -> float:
     """Shannon (order None or 1) or Renyi entropy of the weights; the one
-    implementation behind shannon, renyi and chain_check."""
-    if order is not None and not order >= 0:
-        raise DomainError("order", order, "order >= 0")
+    implementation behind shannon, renyi and chain_check, which validate
+    the order."""
     w = weights[weights > ZERO_FLOOR]
     if order is None or order == 1:
         return float(-(w * np.log(w)).sum())
@@ -32,7 +31,12 @@ def _entropy(weights: np.ndarray, order: float | None) -> float:
         return float(math.log(len(w)))
     if math.isinf(order):
         return float(-math.log(w.max()))
-    return float(math.log((w ** order).sum()) / (1.0 - order))
+    total = (w ** order).sum()
+    if total == 0.0:  # every w**order underflowed: factor out the largest weight
+        top = w.max()
+        total = ((w / top) ** order).sum()
+        return float(order / (1.0 - order) * math.log(top) + math.log(total) / (1.0 - order))
+    return float(math.log(total) / (1.0 - order))
 
 
 def shannon(p: FockDiagonalState) -> float:
@@ -46,12 +50,15 @@ def renyi(p: FockDiagonalState, order: float) -> float:
     order=1 gives the Shannon entropy, order=0 the log support size,
     order=inf -ln(max p). Negative and NaN orders are out of domain.
     """
+    if order is not None:
+        check_real("order", order, "order >= 0 or inf", lambda x: x >= 0.0, finite=False)
     return _entropy(p.weights, order)
 
 
 def thermal_entropy(mean: float) -> float:
     """Closed form for a geometric (thermal) distribution of given mean:
     (mean+1) ln(mean+1) - mean ln(mean)."""
+    mean = check_real("mean", mean, "mean >= 0", lambda x: x >= 0.0)
     if mean == 0.0:
         return 0.0
     return (mean + 1.0) * math.log(mean + 1.0) - mean * math.log(mean)
@@ -87,6 +94,8 @@ def chain_check(grid: TransitionGrid, order: float | None = None) -> EntropyChai
     """Entropy of each grid row, asserting S_i <= S_{i+1} within 1e-12.
     Each value is computed on the grid row itself, as shannon or renyi
     computes it on a state holding that row."""
+    if order is not None:
+        check_real("order", order, "order >= 0 or inf", lambda x: x >= 0.0, finite=False)
     values = np.array([_entropy(row, order) for row in grid.rows])
     if len(values) > 1:
         worst = float((values[:-1] - values[1:]).max())

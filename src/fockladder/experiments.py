@@ -9,17 +9,18 @@ generators and aggregation follows input order.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .channel import ChannelSpec, Family, abgx, make_channel
-from .errors import DomainError, WitnessError
+from .errors import WitnessError, check_index, check_real, require
 from .kernels import ladder_matvec
 from .majorization import (RELATIONS, FockDiagonalState, MajorizationVerdict,
                            check_coefficients, compare_stack, decide, prefix_sums)
-from .transition import TransitionGrid, grid_recurrence
+from .transition import DEFAULT_TAIL_TOL, TransitionGrid, grid_recurrence
 
 DEFAULT_SEED = 20240
 
@@ -81,9 +82,10 @@ def ladder_verify(spec: ChannelSpec, i_max: int = 30, tol: float = 1e-12,
     all i_max steps, decided in one decide call, exactly as compare_stack
     would decide rows[:-1] against rows[1:]. The prefix sums are released
     before one ladder_matvec over the stack of rows 0..i_max-1 witnesses
-    every step."""
-    if i_max < 1:
-        raise DomainError("i_max", i_max, "i_max >= 1")
+    every step. Raises DomainError unless 1 <= i_max <= HARD_CAP and tol is
+    finite (tail_tol as grid_recurrence)."""
+    i_max = check_index("i_max", i_max, 1)
+    check_real("tol", tol, "a finite tolerance")
     params = abgx(spec)
     grid = grid_recurrence(params, i_max, tail_tol)
     prefix = prefix_sums(grid.rows, grid.tails, sort=True, name="t")
@@ -114,22 +116,24 @@ def _output_of_weights(grid: TransitionGrid, W,
     return W @ grid.rows[levels], W @ grid.tails[levels]
 
 
-def _ensure_grid(spec, i_need, grid, tail_tol=1e-10) -> TransitionGrid:
-    if grid is not None:
-        if grid.params != abgx(spec):
-            raise ValueError("supplied grid was built for a different channel")
-        if grid.i_max < i_need:
-            raise ValueError(f"supplied grid has i_max={grid.i_max} < {i_need}")
-        return grid
-    return grid_recurrence(abgx(spec), i_need, tail_tol)
+def _ensure_grid(spec, i_need, grid) -> TransitionGrid:
+    """The supplied grid, which must be the channel's and hold input levels
+    0..i_need, or a new adaptive grid of rows 0..i_need."""
+    if grid is None:
+        return grid_recurrence(abgx(spec), i_need, DEFAULT_TAIL_TOL)
+    require(grid.params == abgx(spec), "grid.params", grid.params,
+            "the parameters of the channel checked")
+    require(grid.i_max >= i_need, "grid.i_max", grid.i_max, f"grid.i_max >= {i_need}")
+    return grid
 
 
 def _mixture_setup(spec, coeffs, k, grid):
-    """Validated coefficients and a grid holding input levels 0..k+len-1."""
-    if k < 0:
-        raise DomainError("k", k, "k >= 0")
+    """Validated k and coefficients, and a grid holding input levels
+    0..k+len-1, the highest of which is at most HARD_CAP."""
+    k = check_index("k", k)
     coeffs = check_coefficients(coeffs)
-    return coeffs, _ensure_grid(spec, len(coeffs) - 1 + k, grid)
+    top = check_index("k + len(coeffs) - 1", k + len(coeffs) - 1)
+    return k, coeffs, _ensure_grid(spec, top, grid)
 
 
 def mixture_shift_check(spec: ChannelSpec, coeffs, k: int, tol: float = 1e-12,
@@ -141,7 +145,7 @@ def mixture_shift_check(spec: ChannelSpec, coeffs, k: int, tol: float = 1e-12,
     identity is verified entrywise (WitnessError beyond tol) and certifies
     the expected LeftMajorizes verdict, which is returned.
     """
-    coeffs, grid = _mixture_setup(spec, coeffs, k, grid)
+    k, coeffs, grid = _mixture_setup(spec, coeffs, k, grid)
     params = grid.params
     W = np.zeros((2, len(coeffs) + k))
     W[0, :len(coeffs)] = coeffs
@@ -169,7 +173,7 @@ def mixture_vs_lowest_fock(spec: ChannelSpec, coeffs, k: int, tol: float = 1e-12
     row k; convexity of column-stochastic matrices then forces the row-k
     output to majorize it.
     """
-    coeffs, grid = _mixture_setup(spec, coeffs, k, grid)
+    k, coeffs, grid = _mixture_setup(spec, coeffs, k, grid)
     params = grid.params
     W = np.zeros((2, len(coeffs)))
     W[0, 0] = 1.0  # Fock state k itself
@@ -224,21 +228,15 @@ class BinaryPattern:
     bits: tuple
 
     def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
-        if sum(self.bits) < 1:
-            raise ValueError("pattern needs at least one occupied level")
+        require(all(b in (0, 1) for b in self.bits) and 1 in self.bits, "bits",
+                self.bits, "0s and 1s with at least one occupied level")
 
     @classmethod
     def from_string(cls, text: str) -> "BinaryPattern":
-        return cls(tuple(int(ch) for ch in text))
+        return cls(tuple(int(ch) if ch in "01" else ch for ch in text))
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
-
-    @property
-    def n_ones(self) -> int:
-        return sum(self.bits)
 
     @property
     def energy(self) -> float:
@@ -424,11 +422,10 @@ def conjecture_scan(spec: ChannelSpec, length: int, tol: float = 1e-12,
     The enumeration is planned once per length and cached; each scan then
     decides every distinct compared pair in one batched pass.
     """
-    if not 2 <= length <= MAX_SCAN_LENGTH:
-        raise DomainError("length", length,
-                          f"2 <= length <= {MAX_SCAN_LENGTH} (exhaustive enumeration)")
-    if nonbinary_samples < 0:
-        raise DomainError("nonbinary_samples", nonbinary_samples, "nonbinary_samples >= 0")
+    length = check_index("length", length, 2, MAX_SCAN_LENGTH)
+    check_real("tol", tol, "a finite tolerance")
+    nonbinary_samples = check_index("nonbinary_samples", nonbinary_samples)
+    seed = check_index("seed", seed, 0, math.inf)
     grid = _ensure_grid(spec, length - 1, grid)
     plan = _scan_plan(length)
     relation, slack, left_slack = _decide_plan(grid, plan, tol)
@@ -506,6 +503,7 @@ def make_counterexample_corpus(seed: int = DEFAULT_SEED,
     incomparable); Fock-ordered pairs are built by moving mass toward
     lower levels, which enforces dominance by construction.
     """
+    seed, n_random = check_index("seed", seed, 0, math.inf), check_index("n_random", n_random)
     rng = np.random.default_rng(seed)
     pairs = []
 
@@ -569,17 +567,6 @@ class FindingsReport:
     fock_worst_slack: float
     fock_ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "channel": self.channel.to_json_dict(),
-            "n_energy_pairs": self.n_energy_pairs,
-            "n_fock_pairs": self.n_fock_pairs,
-            "n_skipped": self.n_skipped,
-            "energy_witnesses": list(self.energy_witnesses),
-            "fock_worst_slack": self.fock_worst_slack,
-            "fock_ok": self.fock_ok,
-        }
-
 
 def counterexample_search(spec: ChannelSpec, corpus: list[CorpusPair],
                           tol: float = 1e-12,
@@ -595,8 +582,7 @@ def counterexample_search(spec: ChannelSpec, corpus: list[CorpusPair],
     output's tail. All outputs come from one matrix product, and each kind
     of pair is decided in one compare_stack call.
     """
-    if not corpus:
-        raise DomainError("corpus", corpus, "at least one pair")
+    require(len(corpus) > 0, "corpus", corpus, "at least one pair")
     levels = max(len(s.weights) for p in corpus for s in (p.rho, p.sigma))
     grid = _ensure_grid(spec, levels - 1, grid)
     W = np.zeros((2, len(corpus), levels))

@@ -28,12 +28,6 @@ def _scan_in_place(beta, y):
     return y
 
 
-def geometric_scan(beta, x):
-    """Return y[n] = sum_{m<=n} beta**m * x[n-m], i.e. y[n] = x[n] + beta*y[n-1],
-    along the last axis of x, leaving x unchanged."""
-    return _scan_in_place(beta, np.array(x, dtype=np.float64))
-
-
 def recurrence_grid(alpha, beta, gamma, chi, i_max, n_max):
     """Fill the transition table T[i][n] for 0 <= i <= i_max, 0 <= n <= n_max.
 

@@ -15,30 +15,17 @@ distribution for input Fock state i-1 onto the one for input i.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .channel import ChannelParams
-from .errors import DomainError, NormalizationError
+from .errors import (HARD_CAP, NormalizationError, check_array, check_index,
+                     check_real, require)
 from .kernels import ladder_matvec
-from .transition import HARD_CAP
 
 NORMALIZATION_TOL = 1e-12
 DEFAULT_TOL = 1e-12
-
-
-def _float_array(value, ndim: int, name: str, requirement: str) -> np.ndarray:
-    """value as a new float array of ndim dimensions; DomainError for any
-    other shape or for entries that are not numbers (a JSON object, say)."""
-    try:
-        a = np.array(value, dtype=np.float64)
-    except TypeError:
-        raise DomainError(name, value, requirement) from None
-    if a.ndim != ndim:
-        raise DomainError(name, value, requirement)
-    return a
 
 
 @dataclass(frozen=True)
@@ -52,20 +39,24 @@ class FockDiagonalState:
     def from_weights(cls, weights, tail: float = 0.0) -> "FockDiagonalState":
         """A state holding a copy of the weights. Raises DomainError unless
         the weights are a 1-D sequence of numbers and the tail is a number."""
-        w = _float_array(weights, 1, "weights", "a 1-D sequence of numbers")
-        t = _float_array(tail, 0, "tail", "a single number")
+        w = check_array("weights", weights, 1, "a 1-D sequence of numbers")
+        t = check_array("tail", tail, 0, "a single number")
         w.setflags(write=False)
         return cls(weights=w, tail=float(t))
 
     @classmethod
     def point_mass(cls, k: int, length: int | None = None) -> "FockDiagonalState":
-        w = np.zeros((length if length is not None else k + 1), dtype=np.float64)
+        """Fock state k on levels 0..length-1 (default k+1 levels)."""
+        k = check_index("k", k)
+        length = check_index("length", k + 1 if length is None else length, k + 1, HARD_CAP + 1)
+        w = np.zeros(length, dtype=np.float64)
         w[k] = 1.0
         w.setflags(write=False)
         return cls(weights=w, tail=0.0)
 
     @classmethod
     def from_grid_row(cls, grid, i: int) -> "FockDiagonalState":
+        i = check_index("i", i, 0, grid.i_max)
         return cls.from_weights(grid.rows[i], tail=float(grid.tails[i]))
 
     @property
@@ -73,20 +64,19 @@ class FockDiagonalState:
         """Mean photon number of the retained weights (tail mass excluded)."""
         return float(np.arange(len(self.weights)) @ self.weights)
 
-    def energy_bounds(self, cap: int = HARD_CAP) -> tuple[float, float]:
+    def energy_bounds(self) -> tuple[float, float]:
         """Interval containing the true energy: tail mass sits somewhere
-        between index len(weights) and the cap used as an upper flag."""
+        between index len(weights) and HARD_CAP, used as an upper flag."""
         e = self.energy
-        return (e + len(self.weights) * self.tail, e + cap * self.tail)
+        return (e + len(self.weights) * self.tail, e + HARD_CAP * self.tail)
 
 
 def check_coefficients(coeffs) -> np.ndarray:
     """Mixture coefficients as a float array. Raises DomainError unless they
-    form a non-empty 1-D sequence, and NormalizationError (see check_rows)
-    unless they are a finite probability distribution."""
-    c = np.asarray(coeffs, dtype=np.float64)
-    if c.ndim != 1 or len(c) == 0:
-        raise DomainError("coeffs", coeffs, "a non-empty 1-D sequence")
+    form a non-empty 1-D sequence of numbers, and NormalizationError (see
+    check_rows) unless they are a finite probability distribution."""
+    c = check_array("coeffs", coeffs, 1, "a non-empty 1-D sequence of numbers")
+    require(len(c) > 0, "coeffs", coeffs, "a non-empty 1-D sequence of numbers")
     check_rows(c[None, :], np.zeros(1), "mixture coefficients")
     return c
 
@@ -94,8 +84,8 @@ def check_coefficients(coeffs) -> np.ndarray:
 def mix(states: list[FockDiagonalState], coeffs) -> FockDiagonalState:
     """Convex combination of states, zero-padded to the longest one."""
     c = check_coefficients(coeffs)
-    if len(c) != len(states):
-        raise ValueError("one coefficient per state required")
+    require(len(c) == len(states), "coeffs", coeffs,
+            f"one coefficient per state ({len(states)} states)")
     length = max(len(s.weights) for s in states)
     w = np.zeros(length)
     tail = 0.0
@@ -162,11 +152,11 @@ class VerdictStack:
                                    float(self.right_slack[r]))
 
 
-def check_rows(weights: np.ndarray, tails: np.ndarray, name: str,
-               tol: float = NORMALIZATION_TOL) -> None:
+def check_rows(weights: np.ndarray, tails: np.ndarray, name: str) -> None:
     """Raise NormalizationError unless every row of weights, plus its tail,
-    is a finite probability distribution within tol; the message names the
-    first failing row and the condition it fails."""
+    is a finite probability distribution within NORMALIZATION_TOL; the
+    message names the first failing row and the condition it fails."""
+    tol = NORMALIZATION_TOL
     # A NaN or infinite weight or tail makes the total non-finite, and every
     # comparison with NaN is False, so one test per condition covers them.
     totals = weights.sum(axis=1) + tails
@@ -192,13 +182,6 @@ def check_rows(weights: np.ndarray, tails: np.ndarray, name: str,
     raise NormalizationError(f"{label}: {reason}")
 
 
-def _check_tol(tol: float) -> None:
-    """Raise DomainError for a NaN or infinite tolerance, which would decide
-    every check vacuously."""
-    if not math.isfinite(tol):
-        raise DomainError("tol", tol, "a finite tolerance")
-
-
 def prefix_sums(weights: np.ndarray, tails: np.ndarray, sort: bool,
                 name: str) -> np.ndarray:
     """Validate each row (see check_rows) and return its prefix sums, taken
@@ -213,15 +196,14 @@ def decide(margins: np.ndarray, tol: float, p_tails: np.ndarray,
            q_tails: np.ndarray) -> VerdictStack:
     """Verdicts from prefix margins (left minus right prefix sums), one row
     per pair, each row against its own effective tolerance tol + p_tail +
-    q_tail. Every verdict is decided here, so this is where a NaN or
-    infinite tol, which would decide every pair vacuously, raises
-    DomainError; a finite negative tol is legal and only tightens the test.
+    q_tail. tol is taken as validated: every entry point checks it once
+    (a NaN or infinite tol would decide every pair vacuously; a finite
+    negative tol is legal and only tightens the test).
 
     worst_slack is the most negative margin along the direction that
     decided the verdict; equivalent pairs report the smaller of the two
     directions, incomparable pairs the near miss (the larger one).
     """
-    _check_tol(tol)
     i_left = margins.argmin(axis=1)
     i_right = margins.argmax(axis=1)
     left = margins.min(axis=1)
@@ -249,6 +231,7 @@ def compare_stack(P: np.ndarray, Q: np.ndarray, p_tails: np.ndarray,
     is not a finite distribution within 1e-12, and DomainError if tol is
     NaN or infinite.
     """
+    check_real("tol", tol, "a finite tolerance")
     margins = prefix_sums(P, p_tails, sort, "p") - prefix_sums(Q, q_tails, sort, "q")
     return decide(margins, tol, p_tails, q_tails)
 
@@ -324,18 +307,15 @@ class LadderMatrix:
                 "dim": self.dim}
 
     def to_csv(self) -> str:
-        if self.dim > 512:
-            raise ValueError("dense CSV export is limited to dim <= 512; "
-                             "use the JSON band descriptor instead")
+        require(self.dim <= 512, "dim", self.dim, "dim <= 512 for the dense CSV export; "
+                "use the JSON band descriptor instead")
         return "\n".join(
             ",".join(f"{v:.17g}" for v in row) for row in self.dense()) + "\n"
 
 
 def build_D(params: ChannelParams, dim: int) -> LadderMatrix:
-    """The ladder matrix at a given truncation."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return LadderMatrix(params=params, dim=dim)
+    """The ladder matrix at a given truncation, 1 <= dim <= HARD_CAP."""
+    return LadderMatrix(params=params, dim=check_index("dim", dim, 1))
 
 
 @dataclass(frozen=True)
@@ -360,14 +340,7 @@ class StochasticityReport:
     ok: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim, "tol": self.tol, "min_entry": self.min_entry,
-            "n_interior": self.n_interior,
-            "max_interior_col_dev": self.max_interior_col_dev,
-            "max_col_sum": self.max_col_sum, "max_row_sum": self.max_row_sum,
-            "max_col_truncation_dev": self.max_col_truncation_dev,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 def check_column_stochastic(D: LadderMatrix, tol: float = DEFAULT_TOL) -> StochasticityReport:
@@ -377,7 +350,7 @@ def check_column_stochastic(D: LadderMatrix, tol: float = DEFAULT_TOL) -> Stocha
     sums, identical accumulation order to per-column summation). Raises
     DomainError if tol is NaN or infinite.
     """
-    _check_tol(tol)
+    check_real("tol", tol, "a finite tolerance")
     alpha, beta, nu, dim = D.alpha, D.beta, D.nu, D.dim
     band = D.band()
     # prefix[t] = alpha + sum of the first t band entries below the diagonal
@@ -413,33 +386,23 @@ def check_column_stochastic(D: LadderMatrix, tol: float = DEFAULT_TOL) -> Stocha
         ok=ok)
 
 
-def _growth_stride(beta: float) -> int:
-    # room for the geometric band to decay below ~1e-18 per application
-    if beta <= 0.0:
-        return 1
-    return max(1, min(4000, int(np.ceil(np.log(1e-18) / np.log(beta)))))
-
-
 def apply_D_power(params: ChannelParams, k: int, v: FockDiagonalState,
-                  out_len: int | None = None) -> FockDiagonalState:
-    """Apply the ladder matrix k times by banded multiplications.
+                  out_len: int) -> FockDiagonalState:
+    """Apply the ladder matrix k times by banded multiplications, keeping
+    out_len output levels.
 
     The dense power is never materialized. Entries inside the output
     window are exact images of the retained input entries (the matrix is
     lower-triangular); mass pushed past the window joins the tail. Raises
-    DomainError for k < 0 or an input longer than out_len, and
-    NormalizationError (see check_rows) unless v is a finite distribution.
+    DomainError unless 0 <= k <= HARD_CAP and len(v.weights) <= out_len
+    <= HARD_CAP, and NormalizationError (see check_rows) unless v is a
+    finite distribution.
     """
-    if k < 0:
-        raise DomainError("k", k, "k >= 0")
-    if out_len is not None and len(v.weights) > out_len:
-        raise DomainError("out_len", out_len,
-                          f"out_len >= {len(v.weights)}, the length of the input")
+    k = check_index("k", k)
+    out_len = check_index("out_len", out_len, len(v.weights))
     check_rows(v.weights[None, :], np.array([v.tail]), "v")
     if k == 0:
         return v
-    if out_len is None:
-        out_len = min(len(v.weights) + k * _growth_stride(params.beta), 200000)
     w = np.zeros(out_len)
     w[:len(v.weights)] = v.weights
     for _ in range(k):

@@ -1,9 +1,9 @@
 """The acceptance battery: every headline claim, runnable in one call.
 
-Each criterion function returns a CriterionResult; run_all executes them
-in order. The CLI `suite` subcommand prints one line per criterion and
-exits nonzero when any fails; the pytest acceptance module wraps the same
-functions.
+Each criterion function returns a CriterionResult, and CRITERIA lists
+them in order. The CLI `suite` subcommand runs them, prints one line per
+criterion and exits nonzero when any fails; the pytest acceptance module
+wraps the same functions.
 """
 
 from __future__ import annotations
@@ -290,6 +290,3 @@ CRITERIA = [
     criterion_10_counterexamples,
 ]
 
-
-def run_all() -> list[CriterionResult]:
-    return [fn() for fn in CRITERIA]

@@ -40,10 +40,9 @@ from itertools import accumulate, repeat
 import numpy as np
 
 from .channel import ChannelParams, ChannelSpec, Family, abgx
-from .errors import DomainError, TruncationError
+from .errors import HARD_CAP, TruncationError, check_index, check_real
 from .kernels import recurrence_grid
 
-HARD_CAP = 20000          # absolute photon-number cutoff
 DEFAULT_TAIL_TOL = 1e-10  # two orders below the 1e-12 comparison tolerances
 
 
@@ -69,12 +68,8 @@ class TransitionGrid:
 
     def to_csv(self) -> str:
         """One line per input index i; columns are n = 0..n_max, then the tail."""
-        lines = []
-        for i in range(self.i_max + 1):
-            cells = [f"{v:.17g}" for v in self.rows[i]]
-            cells.append(f"{self.tails[i]:.17g}")
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        return "".join(",".join(f"{v:.17g}" for v in (*row, tail)) + "\n"
+                       for row, tail in zip(self.rows, self.tails))
 
     def to_json_dict(self) -> dict:
         return {
@@ -84,13 +79,6 @@ class TransitionGrid:
             "rows": [list(r) for r in self.rows],
             "tails": list(self.tails),
         }
-
-
-def _check_indices(**indices: int) -> None:
-    """Raise DomainError naming the first negative index."""
-    for name, value in indices.items():
-        if value < 0:
-            raise DomainError(name, value, f"{name} >= 0")
 
 
 # Points u in (0, 1) where the Chernoff bound is evaluated, at
@@ -110,16 +98,18 @@ def _initial_cutoff(params: ChannelParams, i_max: int, tail_tol: float) -> int:
     n, so row i_max has the heaviest tail and its bound holds for every row.
     alpha + gamma*z stays positive on the interval, as it is 1 - beta at
     z = 1 and nu/beta >= 0 at z = 1/beta. With beta = 0 row i ends at n = i.
+    With s = z - 1, 1 - beta*z is (1 - beta)*(1 - u), and alpha + gamma*z is
+    (1 - beta) + gamma*s, which cannot cancel to 0 when beta is near 1.
     """
     beta = params.beta
     if beta == 0.0:
         return i_max
     # capped so that z stays finite when beta is subnormal
     span = min((1.0 - beta) / beta, 1e300)
-    z = 1.0 + span * _CHERNOFF_U
-    log_g = (math.log(params.chi) + i_max * np.log(params.alpha + params.gamma * z)
+    s = span * _CHERNOFF_U
+    log_g = (math.log(params.chi) + i_max * np.log((1.0 - beta) + params.gamma * s)
              - (i_max + 1) * np.log((1.0 - beta) * (1.0 - _CHERNOFF_U)))
-    columns = (log_g - math.log(tail_tol)) / np.log1p(span * _CHERNOFF_U)
+    columns = (log_g - math.log(tail_tol)) / np.log1p(s)
     return max(0, math.ceil(float(columns.min())) - 1)
 
 
@@ -151,8 +141,7 @@ def _trim(rows: np.ndarray, tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 def grid_recurrence(params: ChannelParams, i_max: int,
                     tail_tol: float = DEFAULT_TAIL_TOL,
-                    n_max: int | None = None,
-                    hard_cap: int = HARD_CAP) -> TransitionGrid:
+                    n_max: int | None = None) -> TransitionGrid:
     """Fill rows 0..i_max by the recurrence, choosing n_max adaptively.
 
     The adaptive n_max is the smallest cutoff at which every row keeps at
@@ -162,26 +151,29 @@ def grid_recurrence(params: ChannelParams, i_max: int,
     tail_tol (a safety net against rounding), and then trims the rows to
     the first column that meets tail_tol. Passing n_max explicitly skips
     adaptation and trimming (tails are then whatever they are). Raises
-    DomainError for a negative index or a tail_tol outside (0, 1), and
-    TruncationError if the cap would be exceeded before meeting tail_tol.
+    DomainError for an index outside [0, HARD_CAP] or a tail_tol outside
+    (0, 1), and TruncationError if HARD_CAP would be exceeded before
+    meeting tail_tol.
     """
-    if not 0.0 < tail_tol < 1.0:
-        raise DomainError("tail_tol", tail_tol, "0 < tail_tol < 1")
-    _check_indices(i_max=i_max, n_max=n_max or 0)
+    tail_tol = check_real("tail_tol", tail_tol, "0 < tail_tol < 1",
+                          lambda x: 0.0 < x < 1.0)
+    i_max = check_index("i_max", i_max)
     adaptive = n_max is None
     if adaptive:
-        n_max = min(_initial_cutoff(params, i_max, tail_tol), hard_cap)
+        n_max = min(_initial_cutoff(params, i_max, tail_tol), HARD_CAP)
+    else:
+        n_max = check_index("n_max", n_max)
     while True:
         rows = recurrence_grid(params.alpha, params.beta, params.gamma,
                                params.chi, i_max, n_max)
         tails = 1.0 - rows.sum(axis=1)
         if not adaptive or tails.max() <= tail_tol:
             break
-        if n_max >= hard_cap:
+        if n_max >= HARD_CAP:
             raise TruncationError(
                 f"tail {tails.max():.3e} > {tail_tol:.3e} at the hard cap "
-                f"n_max={hard_cap}")
-        n_max = min(2 * n_max, hard_cap)
+                f"n_max={HARD_CAP}")
+        n_max = min(2 * n_max, HARD_CAP)
     if adaptive:
         rows, tails = _trim(rows, tail_tol)
         n_max = rows.shape[1] - 1
@@ -224,7 +216,7 @@ def row_multinomial(params: ChannelParams, i: int, n_max: int) -> np.ndarray:
     result stays below 1), so the convolution runs in decimal and only its
     result is rounded. No table is kept between calls.
     """
-    _check_indices(i=i, n_max=n_max)
+    i, n_max = check_index("i", i), check_index("n_max", n_max)
     alpha, beta, gamma, chi = params.alpha, params.beta, params.gamma, params.chi
     log_s = (math.log10(chi) + i * math.log10(alpha + abs(gamma))
              - (i + 1) * math.log10(1.0 - beta))
@@ -261,7 +253,7 @@ def series_rectangle(params: ChannelParams, i_max: int, n_max: int) -> np.ndarra
     A[k]; as A[k, a] * B[k, b] <= h[a, b] / chi, neither overflows. Uses
     none of the recurrence, the kernels or the closed-form sum.
     """
-    _check_indices(i_max=i_max, n_max=n_max)
+    i_max, n_max = check_index("i_max", i_max), check_index("n_max", n_max)
 
     def times_geometric(row: list[float], ratio: float) -> np.ndarray:
         return np.fromiter(accumulate(row, lambda acc, v: v + ratio * acc), float, len(row))
@@ -279,7 +271,7 @@ def series_rectangle(params: ChannelParams, i_max: int, n_max: int) -> np.ndarra
 
 def row_series(params: ChannelParams, i: int, n_max: int) -> np.ndarray:
     """Row i of the generating-function coefficient rectangle (second oracle)."""
-    _check_indices(i=i, n_max=n_max)
+    i, n_max = check_index("i", i), check_index("n_max", n_max)
     return series_rectangle(params, i, n_max)[i]
 
 
@@ -301,7 +293,7 @@ def analytic_special(spec: ChannelSpec, i: int, n_max: int) -> np.ndarray | None
     their coefficients pass 1e308 at large indices, where they cannot be
     converted to binary64, while every term is a probability.
     """
-    _check_indices(i=i, n_max=n_max)
+    i, n_max = check_index("i", i), check_index("n_max", n_max)
     out = np.zeros(n_max + 1)
     if _is_identity(spec):
         if i <= n_max:

@@ -226,3 +226,41 @@ def test_identities_and_signs_hold_everywhere(spec):
 @given(_specs)
 def test_abgx_is_pure(spec):
     assert abgx(spec) == abgx(spec)
+
+
+@pytest.mark.parametrize("family, kwargs, name", [
+    ("lossy", {"eta": 1.0, "thermal_N": 1e17}, "thermal_N"),    # abgx divided by zero
+    ("amp", {"g": 1.0, "thermal_N": 1e17}, "thermal_N"),        # abgx divided by zero
+    ("lossy", {"eta": 0.5, "thermal_N": 1e17}, "thermal_N"),    # chi = 0
+    ("amp", {"g": 1e17}, "g"),
+    ("noise", {"added_n": 1e17}, "added_n"),
+    ("conj", {"g": 1e17}, "g"),
+    ("noise", {"added_n": 1e300}, "added_n"),
+], ids=["lossless-N1e17", "amp-g1-N1e17", "lossy-N1e17", "amp-g1e17", "noise-n1e17",
+        "conj-g1e17", "noise-n1e300"])
+def test_rows_with_unit_beta_are_out_of_domain(family, kwargs, name):
+    with pytest.raises(DomainError, match="in binary64") as err:
+        make_channel(family, **kwargs)
+    assert err.value.name == name
+
+
+@pytest.mark.parametrize("kwargs", [{"eta": True}, {"eta": "0.5"}, {"eta": 0.5, "thermal_N": None},
+                                    {"eta": 0.5, "thermal_N": float("inf")}])
+def test_lossy_parameters_must_be_finite_numbers(kwargs):
+    if kwargs.get("thermal_N", 0) is None:  # None means the default N = 0
+        assert make_channel("lossy", **kwargs).thermal_N == 0.0
+        return
+    with pytest.raises(DomainError):
+        make_channel("lossy", **kwargs)
+
+
+def test_noise_limit_rejects_unknown_route():
+    assert noise_limit_params(1.0, 0.5, "amp") == noise_limit_params(1.0, 0.5, LimitRoute.VIA_AMP)
+    with pytest.raises(DomainError, match="route"):
+        noise_limit_params(1.0, 0.5, "banana")
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), "1e-14"])
+def test_validate_params_rejects_non_finite_tol(tol):
+    with pytest.raises(DomainError, match="tol"):
+        validate_params(abgx(make_channel("noise", added_n=1.0)), tol=tol)

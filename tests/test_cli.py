@@ -1,3 +1,5 @@
+import contextlib
+import csv
 import io
 import json
 import os
@@ -5,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fockladder import cli
 
@@ -226,6 +230,46 @@ OUT_OF_DOMAIN_ARGV = {
     "conjecture-nonbinary-negative": (["conjecture", "--family", "lossy", "--eta", "0.5",
                                        "--N", "1", "--length", "3", "--nonbinary", "-3"],
                                       "nonbinary_samples=-3"),
+    # parameter rows with y = 1 or beta = 1 in binary64
+    "params-lossless-N-1e17": (["params", "--family", "lossy", "--eta", "1", "--N", "1e17"],
+                               "thermal_N=1e+17"),
+    "params-amp-g1-N-1e17": (["params", "--family", "amp", "--g", "1", "--N", "1e17"],
+                             "thermal_N=1e+17"),
+    "params-noise-n-1e300": (["params", "--family", "noise", "--n", "1e300"], "added_n=1e+300"),
+    "ladder-lossy-N-1e17": (["ladder", "--family", "lossy", "--eta", "0.5", "--N", "1e17"],
+                            "thermal_N=1e+17"),
+    "ladder-amp-g-1e17": (["ladder", "--family", "amp", "--g", "1e17"], "g=1e+17"),
+    "ladder-noise-n-1e17": (["ladder", "--family", "noise", "--n", "1e17"], "added_n=1e+17"),
+    "ladder-conj-g-1e17": (["ladder", "--family", "conj", "--g", "1e17"], "g=1e+17"),
+    # photon numbers beyond HARD_CAP
+    "ladder-imax-above-cap": (["ladder", "--family", "lossy", "--eta", "0.5", "--N", "1",
+                               "--imax", "100000"], "i_max=100000"),
+    "grid-nmax-above-cap": (["grid", "--family", "lossy", "--eta", "0.5", "--N", "1",
+                             "--nmax", "100000000000"], "n_max=100000000000"),
+    "grid-multinomial-row-above-cap": (["grid", "--family", "lossy", "--eta", "0.5", "--N", "1",
+                                        "--oracle", "multinomial", "--row", "20001",
+                                        "--nmax", "5"], "i=20001"),
+    "dmat-check-dim-above-cap": (["dmat", "--family", "lossy", "--eta", "0.5", "--N", "1",
+                                  "--dim", "100000000000", "--check"], "dim=100000000000"),
+    "mixture-top-level-above-cap": (["mixture", "--family", "amp", "--g", "2", "--N", "0",
+                                     "--weights", "0.5,0.5", "--k", "20000"],
+                                    "k + len(coeffs) - 1=20001"),
+    "conjecture-seed-negative": (["conjecture", "--family", "lossy", "--eta", "0.5", "--N", "1",
+                                  "--length", "3", "--seed", "-1", "--nonbinary", "5"],
+                                 "seed=-1"),
+    # stdin, text flags and --out
+    "majorize-string-weights": (["majorize"], "weights=['0.5', '0.5']"),
+    "majorize-bool-weights": (["majorize"], "weights=[True, False]"),
+    "majorize-401-digit-weight": (["majorize"], "weights=[1000"),
+    "majorize-missing-key": (["majorize"], "stdin={'p': [1]}"),
+    "majorize-not-json": (["majorize"], "stdin=JSONDecodeError"),
+    "entropy-order-not-a-number": (["entropy", "--family", "lossy", "--eta", "0.5", "--N", "1",
+                                    "--imax", "3", "--order", "abc"], "order='abc'"),
+    "mixture-weights-not-numbers": (["mixture", "--family", "amp", "--g", "2", "--N", "0",
+                                     "--weights=0.5,,0.5"], "weights='0.5,,0.5'"),
+    "params-out-unwritable": (["params", "--family", "noise", "--n", "1",
+                               "--out", "/nonexistent/dir/x.json"],
+                              "out='/nonexistent/dir/x.json'"),
 }
 # stdin of the cases that read their own; every other case gets a valid
 # majorize payload
@@ -238,6 +282,11 @@ OUT_OF_DOMAIN_STDIN = {
     "majorize-scalar-weights": '{"p": 1, "q": 1}',
     "majorize-list-tail": '{"p": [1], "q": [1], "p_tail": [0]}',
     "majorize-object-weights": '{"p": [{"a": 1}], "q": [1]}',
+    "majorize-string-weights": '{"p": ["0.5", "0.5"], "q": [1]}',
+    "majorize-bool-weights": '{"p": [true, false], "q": [1]}',
+    "majorize-401-digit-weight": '{"p": [1%s], "q": [1]}' % ("0" * 400),
+    "majorize-missing-key": '{"p": [1]}',
+    "majorize-not-json": 'not json',
 }
 
 
@@ -386,3 +435,138 @@ def test_dispatch_covers_command_enum():
     assert set(cli._DISPATCH) == {"params", "grid", "dmat", "majorize", "ladder",
                                   "entropy", "mixture", "conjecture", "limit",
                                   "suite"}
+
+
+# ---------------------------------------------------------------------------
+# Property: every argv and stdin gives exit 0, 1 or 2, never an uncaught
+# exception, and JSON or CSV on stdout.
+# ---------------------------------------------------------------------------
+
+def _floats_as_text():
+    return st.floats().map(repr) | st.sampled_from(
+        ["0", "1", "0.5", "2", "-1", "1e-320", "1e16", "1e17", "1e300", "nan", "inf",
+         "-inf", "abc", ""])
+
+
+# small in-domain values only: an in-domain size near HARD_CAP would build
+# grids of hundreds of MB
+_INDICES = st.sampled_from(["-1", "0", "1", "2", "3", "5", "20001", "100000000000",
+                            "1.5", "true", ""])
+_CHANNEL_FLAGS = [("--family", st.sampled_from(["lossy", "amp", "noise", "conj", "e",
+                                                "banana"])),
+                  ("--eta", _floats_as_text()), ("--g", _floats_as_text()),
+                  ("--N", _floats_as_text()), ("--n", _floats_as_text())]
+_IO_FLAGS = [("--format", st.sampled_from(["json", "csv"])),
+             ("--out", st.sampled_from(["/nonexistent/dir/x.json", "."])),
+             ("--seed", _INDICES)]
+_FLAGS = {
+    "params": _CHANNEL_FLAGS,
+    "grid": _CHANNEL_FLAGS + [
+        ("--imax", _INDICES), ("--tail-tol", _floats_as_text()), ("--nmax", _INDICES),
+        ("--oracle", st.sampled_from(["recurrence", "multinomial", "series", "special"])),
+        ("--row", _INDICES)],
+    "dmat": _CHANNEL_FLAGS + [("--dim", _INDICES), ("--check", st.just(None)),
+                              ("--power", _INDICES), ("--tol", _floats_as_text())],
+    "majorize": [("--tol", _floats_as_text()), ("--unordered", st.just(None))],
+    "ladder": _CHANNEL_FLAGS + [("--imax", _INDICES), ("--tol", _floats_as_text()),
+                                ("--tail-tol", _floats_as_text())],
+    "entropy": _CHANNEL_FLAGS + [
+        ("--imax", _INDICES), ("--bits", st.just(None)), ("--tail-tol", _floats_as_text()),
+        ("--order", _floats_as_text() | st.sampled_from(["shannon", "inf", "5000"]))],
+    "mixture": _CHANNEL_FLAGS + [
+        ("--weights", st.sampled_from(["0.5,0.5", "1", "0.3,0.7,0", "0.5,,0.5", "nan,1",
+                                       "x", ""])),
+        ("--k", _INDICES), ("--mode", st.sampled_from(["shift", "lowest"])),
+        ("--tol", _floats_as_text())],
+    "conjecture": _CHANNEL_FLAGS + [
+        ("--length", st.sampled_from(["-1", "1", "2", "3", "4", "17", "2.5"])),
+        ("--tol", _floats_as_text()), ("--nonbinary", _INDICES)],
+    "limit": [("--n", _floats_as_text()), ("--eps", _floats_as_text()),
+              ("--route", st.sampled_from(["loss", "amp", "banana"]))],
+}
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["p", "q", "v", "tail", "p_tail", "q_tail"]), inner, max_size=4),
+    max_leaves=8)
+_STDIN = st.sampled_from(['{"p": [0.5, 0.5], "q": [1]}', '{"v": [1, 0]}',
+                          '{"v": [0.5, 0.5], "tail": 0}', "", "[[[[", '{"p": [1]}']) \
+    | _JSON_VALUES.map(json.dumps) | st.text(max_size=6)
+
+
+@st.composite
+def _invocations(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag, values in _FLAGS[command] + _IO_FLAGS:
+        if draw(st.booleans()):
+            value = draw(values)
+            argv.append(flag if value is None else f"{flag}={value}")
+    return argv, draw(_STDIN)
+
+
+def _main(argv, stdin):
+    """cli.main in-process: (exit code, stdout, stderr). An exception other
+    than SystemExit (argparse usage errors) propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def _is_json_or_csv(text):
+    try:
+        json.loads(text)
+        return True
+    except ValueError:
+        rows = list(csv.reader(io.StringIO(text)))
+        return text.endswith("\n") and len({len(row) for row in rows}) == 1
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_invocations())
+def test_any_input_exits_0_1_or_2_with_json_or_csv(invocation):
+    argv, stdin = invocation
+    code, out, err = _main(argv, stdin)
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err
+    assert out == "" or _is_json_or_csv(out), out
+
+
+_VALID_CHANNELS = st.one_of(
+    st.tuples(st.just("lossy"), st.floats(0.0, 1.0), st.floats(0.0)),
+    st.tuples(st.sampled_from(["amp", "conj"]), st.floats(1.0), st.floats(0.0)),
+    st.tuples(st.just("noise"), st.floats(0.0), st.none()))
+_IN_DOMAIN_RUNS = [
+    ["ladder", "--imax", "3"],
+    ["entropy", "--imax", "3", "--order", "2"],
+    ["entropy", "--imax", "3", "--order", "inf"],
+    ["mixture", "--weights", "0.5,0.5", "--k", "1"],
+    ["mixture", "--weights", "0.5,0.5", "--k", "1", "--mode", "lowest"],
+    ["conjecture", "--length", "3", "--nonbinary", "2"],
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_VALID_CHANNELS)
+def test_a_valid_channel_never_exits_2(channel):
+    family, strength, N = channel
+    flag = {"lossy": "--eta", "noise": "--n"}.get(family, "--g")
+    channel_argv = ["--family", family, f"{flag}={strength!r}"]
+    if N is not None:
+        channel_argv.append(f"--N={N!r}")
+    code, out, _ = _main(["params", *channel_argv], "")
+    if code != 0:
+        return  # out of domain (exit 2) or an invalid parameter row (exit 1)
+    for run in _IN_DOMAIN_RUNS:
+        code, _, err = _main(run + channel_argv, "")
+        assert code in (0, 1), (run, err)

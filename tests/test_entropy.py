@@ -111,3 +111,22 @@ def test_chain_values_equal_per_row_entropies(order):
         states = [FockDiagonalState.from_grid_row(grid, i) for i in range(31)]
         expect = [shannon(s) if order is None else renyi(s, order) for s in states]
         np.testing.assert_array_equal(chain_check(grid, order).values, expect)
+
+
+def test_renyi_of_large_order_approaches_min_entropy():
+    # every w**order underflows to zero at order 5000
+    p = fds([0.3, 0.3, 0.4])
+    assert (p.weights ** 5000).sum() == 0.0
+    assert renyi(p, 5000) == pytest.approx(-math.log(0.4) * 5000 / 4999, rel=1e-12)
+    assert renyi(p, 1e300) == pytest.approx(-math.log(0.4), rel=1e-12)
+    grid = grid_recurrence(abgx(make_channel("lossy", eta=0.5, thermal_N=1.0)), 5)
+    assert np.isfinite(chain_check(grid, 5000.0).values).all()
+
+
+@pytest.mark.parametrize("call", [lambda p: renyi(p, "2"), lambda p: renyi(p, True),
+                                  lambda p: renyi(p, -math.inf),
+                                  lambda p: thermal_entropy(-1.0),
+                                  lambda p: thermal_entropy(math.nan)])
+def test_entropy_arguments_out_of_domain(call):
+    with pytest.raises(DomainError):
+        call(fds([0.5, 0.5]))

@@ -280,3 +280,41 @@ def test_output_of_weights_matches_manual_mixture():
                                rtol=0, atol=1e-16)
     np.testing.assert_array_equal(out[1], grid.rows[4])
     np.testing.assert_array_equal(tails[1], grid.tails[4])
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: ladder_verify(s, 2.5), lambda s: ladder_verify(s, 100000),
+    lambda s: ladder_verify(s, 3, "1e-12"),
+    lambda s: mixture_shift_check(s, [0.5, 0.5], 1.0),
+    lambda s: mixture_vs_lowest_fock(s, [0.5, 0.5], 20000),
+    lambda s: mixture_shift_check(s, ["0.5", "0.5"], 1),
+    lambda s: conjecture_scan(s, 3.0), lambda s: conjecture_scan(s, 3, seed=-1),
+    lambda s: conjecture_scan(s, 3, nonbinary_samples=True),
+    lambda s: conjecture_scan(s, 3, tol=math.inf),
+    lambda s: counterexample_search(s, make_counterexample_corpus(), math.nan),
+    lambda s: make_counterexample_corpus(seed=-1),
+    lambda s: make_counterexample_corpus(n_random=-1),
+], ids=["ladder-float-imax", "ladder-imax-above-cap", "ladder-string-tol", "shift-float-k",
+        "lowest-top-level-above-cap", "shift-string-coeffs", "scan-float-length",
+        "scan-negative-seed", "scan-bool-samples", "scan-tol-inf", "search-tol-nan",
+        "corpus-negative-seed", "corpus-negative-count"])
+def test_experiment_arguments_out_of_domain(call):
+    with pytest.raises(DomainError):
+        call(make_channel("amp", g=2.0, thermal_N=0.5))
+
+
+def test_pattern_strings_hold_only_bits():
+    assert BinaryPattern.from_string("0110").bits == (0, 1, 1, 0)
+    for text in ("01a", "012", "", "000"):
+        with pytest.raises(DomainError, match="bits"):
+            BinaryPattern.from_string(text)
+
+
+def test_foreign_or_short_grid_is_out_of_domain():
+    spec = make_channel("amp", g=2.0, thermal_N=0.5)
+    wrong = grid_recurrence(abgx(make_channel("lossy", eta=0.5, thermal_N=0.0)), 8)
+    with pytest.raises(DomainError, match="grid.params"):
+        mixture_shift_check(spec, [0.5, 0.5], 2, grid=wrong)
+    short = grid_recurrence(abgx(spec), 2)
+    with pytest.raises(DomainError, match="grid.i_max=2"):
+        conjecture_scan(spec, 4, grid=short)

@@ -8,6 +8,7 @@ from fockladder import (DomainError, FockDiagonalState, NormalizationError, Rela
                         fock_compare, grid_recurrence, majorize_compare,
                         make_channel, mix)
 from fockladder.kernels import ladder_matvec
+from fockladder.transition import HARD_CAP
 
 
 def fds(values, tail=0.0):
@@ -200,12 +201,12 @@ def test_identity_first_row_sums_to_zero():
 def test_apply_power_zero_is_noop():
     v = fds([0.5, 0.5])
     p = abgx(make_channel("amp", g=2.0, thermal_N=0.5))
-    assert apply_D_power(p, 0, v) is v
+    assert apply_D_power(p, 0, v, 2) is v
 
 
 def test_apply_power_identity_shifts():
     p = abgx(make_channel("noise", added_n=0.0))
-    out = apply_D_power(p, 3, FockDiagonalState.point_mass(0, 1))
+    out = apply_D_power(p, 3, FockDiagonalState.point_mass(0, 1), 4)
     assert out.weights[3] == 1.0
     assert out.weights.sum() == 1.0
 
@@ -290,6 +291,35 @@ def test_mix_rejects_empty_or_non_1d_coefficients(coeffs):
 
 def test_energy_bounds_with_tail():
     s = fds([0.4, 0.4], tail=0.2)
-    lo, hi = s.energy_bounds(cap=100)
+    lo, hi = s.energy_bounds()
     assert lo == pytest.approx(0.4 + 2 * 0.2)
-    assert hi == pytest.approx(0.4 + 100 * 0.2)
+    assert hi == pytest.approx(0.4 + HARD_CAP * 0.2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, s: build_D(p, HARD_CAP + 1), lambda p, s: build_D(p, 0),
+    lambda p, s: build_D(p, 10**11), lambda p, s: build_D(p, 4.0),
+    lambda p, s: apply_D_power(p, 1, s, HARD_CAP + 1),
+    lambda p, s: apply_D_power(p, 1.0, s, 4), lambda p, s: apply_D_power(p, True, s, 4),
+    lambda p, s: build_D(p, 513).to_csv(),
+    lambda p, s: mix([s, s], [1.0]),
+    lambda p, s: FockDiagonalState.point_mass(-1),
+    lambda p, s: FockDiagonalState.point_mass(3, 2),
+    lambda p, s: FockDiagonalState.point_mass(1, HARD_CAP + 2),
+    lambda p, s: majorize_compare(s, s, "1e-12"),
+], ids=["dim-above-cap", "dim-0", "dim-1e11", "dim-float", "out-len-above-cap", "k-float",
+        "k-bool", "csv-above-512", "mix-count", "point-mass-negative", "point-mass-too-short",
+        "point-mass-above-cap", "string-tol"])
+def test_sizes_and_counts_are_integers_up_to_the_hard_cap(call):
+    p = abgx(make_channel("amp", g=2.0, thermal_N=0.5))
+    with pytest.raises(DomainError):
+        call(p, FockDiagonalState.point_mass(0, 2))
+
+
+def test_grid_row_index_is_in_the_grid():
+    grid = grid_recurrence(abgx(make_channel("amp", g=2.0, thermal_N=0.5)), 3)
+    np.testing.assert_array_equal(FockDiagonalState.from_grid_row(grid, 3).weights,
+                                  grid.rows[3])
+    for i in (-1, 4, 1.0):
+        with pytest.raises(DomainError, match="^i="):
+            FockDiagonalState.from_grid_row(grid, i)

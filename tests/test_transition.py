@@ -11,6 +11,7 @@ from fockladder import (DomainError, TruncationError, abgx, analytic_special, gr
                         make_channel, row_multinomial, row_series,
                         series_rectangle, standard_grid)
 from fockladder import transition
+from fockladder.transition import HARD_CAP
 from fockladder.channel import ChannelParams
 
 IDENTITY = ChannelParams(alpha=0.0, beta=0.0, gamma=1.0, chi=1.0, nu=1.0)
@@ -148,9 +149,10 @@ def test_explicit_n_max_is_not_trimmed():
 
 
 def test_truncation_error_at_hard_cap():
-    p = abgx(make_channel("amp", g=5.0, thermal_N=2.0))
-    with pytest.raises(TruncationError):
-        grid_recurrence(p, 20, tail_tol=1e-10, hard_cap=64)
+    # beta = 1e4/(1e4+1): the tail of row 1 at n = HARD_CAP is about 0.14
+    p = abgx(make_channel("noise", added_n=1e4))
+    with pytest.raises(TruncationError, match=f"n_max={HARD_CAP}"):
+        grid_recurrence(p, 1)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -355,7 +357,7 @@ def test_multinomial_is_independent_of_the_other_paths(monkeypatch):
 
     for module, name in ((transition, "recurrence_grid"), (transition, "grid_recurrence"),
                          (transition, "series_rectangle"), (kernels, "recurrence_grid"),
-                         (kernels, "geometric_scan"), (kernels, "ladder_matvec")):
+                         (kernels, "_scan_in_place"), (kernels, "ladder_matvec")):
         monkeypatch.setattr(module, name, forbidden)
     for p, row in zip(params, expect):
         assert np.abs(row_multinomial(p, 6, 40) - row).max() <= 1e-15
@@ -385,7 +387,7 @@ def test_series_is_independent_of_the_other_paths(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the series oracle used another path")
 
-    for module, name in ((kernels, "geometric_scan"), (kernels, "recurrence_grid"),
+    for module, name in ((kernels, "_scan_in_place"), (kernels, "recurrence_grid"),
                          (kernels, "ladder_matvec"), (transition, "recurrence_grid"),
                          (transition, "grid_recurrence"), (transition, "row_multinomial")):
         monkeypatch.setattr(module, name, forbidden)
@@ -441,3 +443,32 @@ def test_analytic_special_at_binomials_beyond_binary64(spec, i, n_max):
     law = analytic_special(spec, i, n_max)
     grid = grid_recurrence(abgx(spec), i, n_max=n_max)
     assert np.abs(law - grid.rows[i]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, s: grid_recurrence(p, 2.5), lambda p, s: grid_recurrence(p, True),
+    lambda p, s: grid_recurrence(p, HARD_CAP + 1),
+    lambda p, s: grid_recurrence(p, 2, n_max=HARD_CAP + 1),
+    lambda p, s: grid_recurrence(p, 2, n_max=10**11),
+    lambda p, s: grid_recurrence(p, 2, tail_tol="1e-10"),
+    lambda p, s: row_multinomial(p, HARD_CAP + 1, 5), lambda p, s: row_multinomial(p, 2.0, 5),
+    lambda p, s: row_series(p, 2, HARD_CAP + 1), lambda p, s: series_rectangle(p, 2, 1.5),
+    lambda p, s: analytic_special(s, 2.5, 3), lambda p, s: analytic_special(s, 0, HARD_CAP + 1),
+], ids=["grid-float-imax", "grid-bool-imax", "grid-imax-above-cap", "grid-nmax-above-cap",
+        "grid-nmax-1e11", "grid-string-tail-tol", "multinomial-row-above-cap",
+        "multinomial-float-row", "series-nmax-above-cap", "rectangle-float-nmax",
+        "special-float-row", "special-nmax-above-cap"])
+def test_indices_are_integers_up_to_the_hard_cap(call):
+    spec = make_channel("lossy", eta=0.5, thermal_N=0.0)  # analytic_special has a law here
+    with pytest.raises(DomainError):
+        call(abgx(spec), spec)
+
+
+def test_cutoff_of_a_cancelling_channel_is_finite():
+    # eta = 0 and N = 8.6e14: alpha + gamma*z = 1 - y*z cancels to 0 in
+    # binary64 near z = 1/beta, where the bound took log(0)
+    p = abgx(make_channel("lossy", eta=0.0, thermal_N=857828500451523.0))
+    assert p.beta > 1 - 1e-14 and p.gamma < -1 + 1e-14
+    assert transition._initial_cutoff(p, 3, 1e-10) >= HARD_CAP
+    with pytest.raises(TruncationError):
+        grid_recurrence(p, 3)
