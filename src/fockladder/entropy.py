@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams
-from .errors import check_real
+from .errors import check_real, require
 from .majorization import FockDiagonalState
 from .transition import TransitionGrid
 
@@ -23,8 +23,10 @@ CHAIN_TOL = 1e-12
 def _entropy(weights: np.ndarray, order: float | None) -> float:
     """Shannon (order None or 1) or Renyi entropy of the weights; the one
     implementation behind shannon, renyi and chain_check, which validate
-    the order."""
+    the order. Weights with none above ZERO_FLOOR (all mass in the tail)
+    have no entropy and are out of domain."""
     w = weights[weights > ZERO_FLOOR]
+    require(w.size > 0, "weights", weights, f"at least one weight above {ZERO_FLOOR:g}")
     if order is None or order == 1:
         return float(-(w * np.log(w)).sum())
     if order == 0:
@@ -56,12 +58,18 @@ def renyi(p: FockDiagonalState, order: float) -> float:
 
 
 def thermal_entropy(mean: float) -> float:
-    """Closed form for a geometric (thermal) distribution of given mean:
-    (mean+1) ln(mean+1) - mean ln(mean)."""
-    mean = check_real("mean", mean, "mean >= 0", lambda x: x >= 0.0)
-    if mean == 0.0:
+    """Closed form for a geometric (thermal) distribution of given mean m:
+    (m+1) ln(m+1) - m ln(m). Its two terms cancel for large m, so m >= 1
+    takes the equal ln(1+m) + m ln(1+1/m), a sum of positive terms; below 1
+    both terms of the original are positive, and ln(1+m) is taken as
+    log1p(m). Accurate to about 1e-15 relative from subnormal means to the
+    largest binary64."""
+    m = check_real("mean", mean, "mean >= 0", lambda x: x >= 0.0)
+    if m == 0.0:
         return 0.0
-    return (mean + 1.0) * math.log(mean + 1.0) - mean * math.log(mean)
+    if m >= 1.0:
+        return math.log1p(m) + m * math.log1p(1.0 / m)
+    return (m + 1.0) * math.log1p(m) - m * math.log(m)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import operator
 import numpy as np
 
 HARD_CAP = 20000  # the largest photon number, index or size the instrument holds
+CELL_BUDGET = 2 ** 25  # the most cells, rows times columns, of one grid or rectangle (256 MiB)
 
 
 class DomainError(ValueError):

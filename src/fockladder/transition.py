@@ -23,10 +23,13 @@ coefficient is converted to binary64.
 The trinomial coefficient factors exactly as C(i, c) * C(i+n-c, i), so
 ``row_multinomial`` evaluates each row as one convolution of two
 exact-binomial factors, built in decimal arithmetic with 40 digits beyond
-the row's total absolute term mass. It keeps no table between calls, and
-it never calls the recurrence, the kernels or the series extraction; the
-series extraction in turn never calls the recurrence, the kernels or the
-closed-form sum.
+the row's total absolute term mass. When gamma < 0 the terms alternate in
+sign, so the factors are scaled to fixed-point Python integers and
+convolved exactly in one integer convolution; each entry is then rounded
+to binary64 once, with an absolute error of about 1e-40 beyond rounding.
+It keeps no table between calls, and it never calls the recurrence, the
+kernels or the series extraction; the series extraction in turn never
+calls the recurrence, the kernels or the closed-form sum.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from itertools import accumulate, repeat
 import numpy as np
 
 from .channel import ChannelParams, ChannelSpec, Family, abgx
-from .errors import HARD_CAP, TruncationError, check_index, check_real
+from .errors import CELL_BUDGET, HARD_CAP, TruncationError, check_index, check_real, require
 from .kernels import recurrence_grid
 
 DEFAULT_TAIL_TOL = 1e-10  # two orders below the 1e-12 comparison tolerances
@@ -139,6 +142,14 @@ def _trim(rows: np.ndarray, tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
     return rows[:, :cut + 1].copy(), tails
 
 
+def _check_cells(i_max: int, n_max) -> int:
+    """n_max as an index for which rows 0..i_max hold at most CELL_BUDGET cells."""
+    n_max = check_index("n_max", n_max)
+    require((i_max + 1) * (n_max + 1) <= CELL_BUDGET, "n_max", n_max,
+            f"(i_max+1)*(n_max+1) <= {CELL_BUDGET} at i_max={i_max}")
+    return n_max
+
+
 def grid_recurrence(params: ChannelParams, i_max: int,
                     tail_tol: float = DEFAULT_TAIL_TOL,
                     n_max: int | None = None) -> TransitionGrid:
@@ -151,9 +162,10 @@ def grid_recurrence(params: ChannelParams, i_max: int,
     tail_tol (a safety net against rounding), and then trims the rows to
     the first column that meets tail_tol. Passing n_max explicitly skips
     adaptation and trimming (tails are then whatever they are). Raises
-    DomainError for an index outside [0, HARD_CAP] or a tail_tol outside
-    (0, 1), and TruncationError if HARD_CAP would be exceeded before
-    meeting tail_tol.
+    DomainError for an index outside [0, HARD_CAP], a tail_tol outside
+    (0, 1), or a grid, explicit or at its first cutoff, of more than
+    CELL_BUDGET cells; and TruncationError if HARD_CAP or CELL_BUDGET would
+    be exceeded before meeting tail_tol.
     """
     tail_tol = check_real("tail_tol", tail_tol, "0 < tail_tol < 1",
                           lambda x: 0.0 < x < 1.0)
@@ -161,8 +173,10 @@ def grid_recurrence(params: ChannelParams, i_max: int,
     adaptive = n_max is None
     if adaptive:
         n_max = min(_initial_cutoff(params, i_max, tail_tol), HARD_CAP)
+        require((i_max + 1) * (n_max + 1) <= CELL_BUDGET, "i_max", i_max,
+                f"(i_max+1)*(n_max+1) <= {CELL_BUDGET} at the first cutoff n_max={n_max}")
     else:
-        n_max = check_index("n_max", n_max)
+        n_max = _check_cells(i_max, n_max)
     while True:
         rows = recurrence_grid(params.alpha, params.beta, params.gamma,
                                params.chi, i_max, n_max)
@@ -174,6 +188,10 @@ def grid_recurrence(params: ChannelParams, i_max: int,
                 f"tail {tails.max():.3e} > {tail_tol:.3e} at the hard cap "
                 f"n_max={HARD_CAP}")
         n_max = min(2 * n_max, HARD_CAP)
+        if (i_max + 1) * (n_max + 1) > CELL_BUDGET:
+            raise TruncationError(
+                f"tail {tails.max():.3e} > {tail_tol:.3e}, and the next cutoff "
+                f"n_max={n_max} passes the cell budget {CELL_BUDGET} at i_max={i_max}")
     if adaptive:
         rows, tails = _trim(rows, tail_tol)
         n_max = rows.shape[1] - 1
@@ -213,15 +231,28 @@ def row_multinomial(params: ChannelParams, i: int, n_max: int) -> np.ndarray:
     in floating point; every product p[c] * q[m] is itself a term of the
     row, so the result cannot overflow. With gamma < 0 the sum alternates
     and cancels catastrophically in binary64 (terms grow like S while the
-    result stays below 1), so the convolution runs in decimal and only its
-    result is rounded. No table is kept between calls.
+    result stays below 1). There p and q become fixed-point integers:
+    p[c] truncated at 10**-dp and q[m] at 10**-dq, with
+    dp = 41 + max(0, ceil(log10 sum q)) and
+    dq = 41 + max(0, ceil(log10 sum |p|)), fine enough to keep every digit
+    of the largest entries. One convolution of the two integer lists sums
+    the terms exactly, and each entry is rounded to binary64 once, by a
+    correctly rounded division by 10**(dp+dq).
+
+    On this path the precision is absolute, not relative. The truncation
+    moves an entry by at most 10**-dp * sum q + 10**-dq * sum |p| <= 2e-41.
+    Each term p[c] * q[m] carries at most i + n_max + 4 decimal roundings,
+    each at 40 digits beyond log10 S, which move an entry by at most
+    (i + n_max + 4) * 5e-40. Both are far below the binary64 rounding of
+    the entries that carry the row's mass, but an entry far below 1e-40,
+    deep in a tail, keeps no correct digits. No table is kept between calls.
     """
     i, n_max = check_index("i", i), check_index("n_max", n_max)
     alpha, beta, gamma, chi = params.alpha, params.beta, params.gamma, params.chi
-    log_s = (math.log10(chi) + i * math.log10(alpha + abs(gamma))
-             - (i + 1) * math.log10(1.0 - beta))
+    log_p = math.log10(chi) + i * math.log10(alpha + abs(gamma))   # log10 sum |p|
+    log_q = -(i + 1) * math.log10(1.0 - beta)                       # log10 sum q
     with localcontext() as ctx:
-        ctx.prec = 40 + max(0, math.ceil(log_s))
+        ctx.prec = 40 + max(0, math.ceil(log_p + log_q))
         a_pow = _powers(Decimal(alpha), i)
         g_pow = _powers(Decimal(gamma), i)
         b_pow = _powers(Decimal(beta), n_max)
@@ -229,8 +260,11 @@ def row_multinomial(params: ChannelParams, i: int, n_max: int) -> np.ndarray:
              for c in range(i + 1)]
         q = [math.comb(i + m, i) * b_pow[m] for m in range(n_max + 1)]
         if gamma < 0.0:
-            conv = np.convolve(np.array(p, dtype=object), np.array(q, dtype=object))
-            return conv[:n_max + 1].astype(np.float64)
+            dp = 41 + max(0, math.ceil(log_q))
+            dq = 41 + max(0, math.ceil(log_p))
+            conv = np.convolve(np.array([int(v.scaleb(dp)) for v in p], dtype=object),
+                               np.array([int(v.scaleb(dq)) for v in q], dtype=object))
+            return (conv[:n_max + 1] / 10 ** (dp + dq)).astype(np.float64)
         top_p, top_q = max(p), max(q)
         p_scaled = np.array([float(v / top_p) for v in p])
         q_scaled = np.array([float(v / top_q) for v in q])
@@ -251,9 +285,11 @@ def series_rectangle(params: ChannelParams, i_max: int, n_max: int) -> np.ndarra
     1/(1 - beta*z). Every term is nonnegative, so this is stable for all four
     families. Each B[k] is scaled to a maximum of 1, the factor carried into
     A[k]; as A[k, a] * B[k, b] <= h[a, b] / chi, neither overflows. Uses
-    none of the recurrence, the kernels or the closed-form sum.
+    none of the recurrence, the kernels or the closed-form sum. Raises
+    DomainError for a rectangle of more than CELL_BUDGET cells.
     """
-    i_max, n_max = check_index("i_max", i_max), check_index("n_max", n_max)
+    i_max = check_index("i_max", i_max)
+    n_max = _check_cells(i_max, n_max)
 
     def times_geometric(row: list[float], ratio: float) -> np.ndarray:
         return np.fromiter(accumulate(row, lambda acc, v: v + ratio * acc), float, len(row))

@@ -290,35 +290,49 @@ OUT_OF_DOMAIN_STDIN = {
 }
 
 
+def assert_exit_2_naming(code, out, err, named):
+    """Exit 2, nothing on stdout, and one error line naming the argument.
+    (In-process, a traceback would be an exception escaping cli.main.)"""
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
 @pytest.mark.parametrize("case", OUT_OF_DOMAIN_ARGV)
-def test_non_finite_or_negative_input_exits_2_without_traceback(case):
-    import fockladder
+def test_non_finite_or_negative_input_exits_2_without_traceback(case, capsys, monkeypatch):
     argv, named = OUT_OF_DOMAIN_ARGV[case]
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(fockladder.__file__)))
-    done = subprocess.run([sys.executable, "-m", "fockladder.cli", *argv],
-                          input=OUT_OF_DOMAIN_STDIN.get(case, '{"p":[1,0],"q":[1,0]}'),
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert "Traceback" not in done.stderr
-    assert done.stderr.startswith("error: ") and named in done.stderr
+    assert_exit_2_naming(*run_cli(capsys, monkeypatch, argv,
+                                  OUT_OF_DOMAIN_STDIN.get(case, '{"p":[1,0],"q":[1,0]}')),
+                         named)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["grid", "--family", "lossy", "--eta", "0.5", "--N", "1", "--imax", "20000",
+      "--nmax", "20000"], "n_max=20000"),
+    (["mixture", "--family", "lossy", "--eta", "0.5", "--N", "1", "--weights", "0.5,0.5",
+      "--k", "19999"], "i_max=20000"),
+], ids=["grid-20001-squared", "mixture-k-19999"])
+def test_grids_beyond_the_cell_budget_exit_2_without_filling(argv, named, capsys, monkeypatch):
+    from fockladder import transition
+
+    def no_fill(*args):
+        raise AssertionError("a grid beyond the cell budget was filled")
+
+    monkeypatch.setattr(transition, "recurrence_grid", no_fill)
+    assert_exit_2_naming(*run_cli(capsys, monkeypatch, argv), named)
 
 
 @pytest.mark.parametrize("argv", [
     ["--family", "lossy", "--eta", "0.5", "--N", "0", "--row", "1100", "--nmax", "1100"],
     ["--family", "amp", "--g", "1.5", "--N", "0", "--row", "300", "--nmax", "3000"],
 ], ids=["loss-row-1100", "amp-row-300"])
-def test_special_laws_beyond_binary64_binomials_exit_0(argv):
-    import fockladder
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(fockladder.__file__)))
-    done = subprocess.run([sys.executable, "-m", "fockladder.cli", "grid", "--oracle",
-                           "special", "--format", "csv", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 0
-    assert "Traceback" not in done.stderr
-    row = [float(v) for v in done.stdout.split(",")]
+def test_special_laws_beyond_binary64_binomials_exit_0(argv, capsys, monkeypatch):
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["grid", "--oracle", "special", "--format", "csv", *argv])
+    assert code == 0
+    assert "Traceback" not in err
+    row = [float(v) for v in out.split(",")]
     assert len(row) == int(argv[-1]) + 1 and abs(sum(row) - 1.0) <= 1e-12
 
 

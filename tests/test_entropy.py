@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -130,3 +131,25 @@ def test_renyi_of_large_order_approaches_min_entropy():
 def test_entropy_arguments_out_of_domain(call):
     with pytest.raises(DomainError):
         call(fds([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("entropy", [shannon, lambda p: renyi(p, 0.0), lambda p: renyi(p, 0.5),
+                                     lambda p: renyi(p, 1.0), lambda p: renyi(p, 2.0),
+                                     lambda p: renyi(p, math.inf)],
+                         ids=["shannon", "0", "0.5", "1", "2", "inf"])
+def test_state_with_all_mass_in_the_tail_has_no_entropy(entropy):
+    for state in (fds([0.0], 1.0), fds([0.0, 1e-301], 1.0)):
+        with pytest.raises(DomainError, match="^weights="):
+            entropy(state)
+
+
+def test_thermal_entropy_is_accurate_from_subnormal_to_largest_means():
+    for mean in (5e-324, 1e-300, 0.5, 1.0, 1e15, 1e300, 1.7e308):
+        with localcontext() as ctx:
+            # enough digits that more than 50 survive the cancellation
+            ctx.prec = 800
+            m = Decimal(mean)
+            exact = (m + 1) * (m + 1).ln() - m * m.ln()
+            error = abs(Decimal(thermal_entropy(mean)) - exact)
+            # relative 1e-15, or half the smallest subnormal for a subnormal result
+            assert error <= Decimal("1e-15") * exact + Decimal(2) ** -1075, mean

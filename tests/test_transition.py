@@ -11,6 +11,7 @@ from fockladder import (DomainError, TruncationError, abgx, analytic_special, gr
                         make_channel, row_multinomial, row_series,
                         series_rectangle, standard_grid)
 from fockladder import transition
+from fockladder.errors import CELL_BUDGET
 from fockladder.transition import HARD_CAP
 from fockladder.channel import ChannelParams
 
@@ -300,12 +301,21 @@ def test_analytic_special_vacuum_any_channel():
 def exact_trinomial(p, i, columns):
     """The original trinomial sum at T[i][n] for each n in columns, evaluated
     exactly in rationals from the binary64 parameters (test-local reference
-    for row_multinomial)."""
-    alpha, beta, gamma, chi = (Fraction(v) for v in (p.alpha, p.beta, p.gamma, p.chi))
-    return [chi * sum(math.comb(i + n - c, i - c) * math.comb(n, c)
-                      * alpha ** (i - c) * beta ** (n - c) * gamma ** c
-                      for c in range(min(i, n) + 1))
-            for n in columns]
+    for row_multinomial). Each parameter is m / 2**e, so every term is an
+    integer over a power of two; the terms are summed as integers over
+    their largest such power and the sum becomes one Fraction."""
+    (a, ea), (b, eb), (g, eg), (x, ex) = (
+        (m, d.bit_length() - 1) for m, d in (v.as_integer_ratio()
+                                             for v in (p.alpha, p.beta, p.gamma, p.chi)))
+    out = []
+    for n in columns:
+        terms = [(math.comb(i + n - c, i - c) * math.comb(n, c)
+                  * a ** (i - c) * b ** (n - c) * g ** c,
+                  ea * (i - c) + eb * (n - c) + eg * c)
+                 for c in range(min(i, n) + 1)]
+        top = max(e for _, e in terms)
+        out.append(Fraction(x * sum(t << (top - e) for t, e in terms), 2 ** (top + ex)))
+    return out
 
 
 def exact_deviation(values, exact):
@@ -335,7 +345,8 @@ def test_multinomial_matches_exact_trinomial_sum(spec):
 
 
 @pytest.mark.parametrize("spec", ORACLE_CHANNELS[:7], ids=lambda s: s.label())
-@pytest.mark.parametrize("i, n", [(20, 45), (40, 25), (40, 150)])
+@pytest.mark.parametrize("i, n", [(20, 45), (40, 25), (40, 150), (12, 400), (40, 400),
+                                  (60, 250)])
 def test_multinomial_exact_beyond_small_totals(spec, i, n):
     # i + n > 60, where the sum used to switch to a log-domain regime
     p = abgx(spec)
@@ -472,3 +483,39 @@ def test_cutoff_of_a_cancelling_channel_is_finite():
     assert transition._initial_cutoff(p, 3, 1e-10) >= HARD_CAP
     with pytest.raises(TruncationError):
         grid_recurrence(p, 3)
+
+
+def _no_fill(*args, **kwargs):
+    raise AssertionError("an array beyond the cell budget was allocated")
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda p: grid_recurrence(p, HARD_CAP, n_max=HARD_CAP), "n_max"),
+    (lambda p: grid_recurrence(p, 2000, n_max=HARD_CAP), "n_max"),
+    (lambda p: grid_recurrence(p, HARD_CAP), "i_max"),   # first cutoff about 11,000
+    (lambda p: series_rectangle(p, HARD_CAP, HARD_CAP), "n_max"),
+    (lambda p: row_series(p, HARD_CAP, HARD_CAP), "n_max"),
+], ids=["grid-explicit", "grid-explicit-2000-rows", "grid-first-cutoff", "rectangle", "row-series"])
+def test_cells_beyond_the_budget_are_out_of_domain(call, name, monkeypatch):
+    monkeypatch.setattr(transition, "recurrence_grid", _no_fill)
+    monkeypatch.setattr(transition, "accumulate", _no_fill)
+    with pytest.raises(DomainError, match=f"^{name}=") as exc:
+        call(abgx(make_channel("lossy", eta=0.5, thermal_N=1.0)))
+    assert str(CELL_BUDGET) in str(exc.value)
+
+
+def test_doubling_past_the_cell_budget_is_truncation(monkeypatch):
+    # the first cutoff fits (2,048 x 10,001 cells); its doubling would not
+    fills = []
+
+    def short_rows(alpha, beta, gamma, chi, i_max, n_max):
+        if fills:
+            _no_fill()
+        fills.append(n_max)
+        return np.zeros((i_max + 1, 1))   # every tail is 1, so the cutoff doubles
+
+    monkeypatch.setattr(transition, "_initial_cutoff", lambda *args: 10000)
+    monkeypatch.setattr(transition, "recurrence_grid", short_rows)
+    with pytest.raises(TruncationError, match="cell budget"):
+        grid_recurrence(abgx(make_channel("lossy", eta=0.5, thermal_N=1.0)), 2047)
+    assert fills == [10000]
