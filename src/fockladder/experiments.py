@@ -1,5 +1,7 @@
-"""Runnable verifications: the output-majorization ladder, its mixture
-consequences, the passive-path scan over binary Fock mixtures, and the
+"""Runnable verifications: the output-majorization ladder; its two mixture
+consequences, decided and witnessed by one batched engine (mixture_checks)
+in which both witnesses are a polynomial in the ladder matrix D applied to
+one output; the passive-path scan over binary Fock mixtures; and the
 counterexample searches for the generalizations that fail.
 
 Everything here is deterministic: random corpora come from seeded
@@ -18,7 +20,7 @@ import numpy as np
 from .channel import ChannelSpec, Family, abgx, make_channel
 from .errors import WitnessError, check_index, check_real, require
 from .kernels import ladder_matvec
-from .majorization import (RELATIONS, FockDiagonalState, MajorizationVerdict,
+from .majorization import (RELATIONS, FockDiagonalState, MajorizationVerdict, VerdictStack,
                            check_coefficients, compare_stack, decide, prefix_sums)
 from .transition import DEFAULT_TAIL_TOL, TransitionGrid, grid_recurrence
 
@@ -51,7 +53,8 @@ class LadderReport:
 
     worst_slack aggregates the left-direction prefix margins of all steps
     (the direction the ladder asserts); witness_max_err is the largest
-    entrywise deviation of D @ t(i) from t(i+1).
+    entrywise deviation of D @ t(i) from t(i+1). passed requires every
+    step to hold in the left direction and witness_max_err <= tol.
     """
 
     channel: ChannelSpec
@@ -96,7 +99,7 @@ def ladder_verify(spec: ChannelSpec, i_max: int = 30, tol: float = 1e-12,
                           grid.n_max + 1)
     image -= grid.rows[1:]
     witness_err = float(np.abs(image, out=image).max())
-    passed = all(v.holds_left for v in verdicts)
+    passed = all(v.holds_left for v in verdicts) and witness_err <= tol
     return LadderReport(channel=spec, i_max=i_max, verdicts=verdicts,
                         worst_slack=float(steps.left_slack.min()),
                         witness_max_err=witness_err, passed=passed)
@@ -127,70 +130,68 @@ def _ensure_grid(spec, i_need, grid) -> TransitionGrid:
     return grid
 
 
-def _mixture_setup(spec, coeffs, k, grid):
-    """Validated k and coefficients, and a grid holding input levels
-    0..k+len-1, the highest of which is at most HARD_CAP."""
-    k = check_index("k", k)
-    coeffs = check_coefficients(coeffs)
-    top = check_index("k + len(coeffs) - 1", k + len(coeffs) - 1)
-    return k, coeffs, _ensure_grid(spec, top, grid)
+def mixture_checks(spec: ChannelSpec, mode: str, draws, tol: float = 1e-12,
+                   grid: Optional[TransitionGrid] = None) -> VerdictStack:
+    """One mixture check per draw (coeffs, k); row r of the returned stack is
+    draw r's verdict, left output against right.
+
+    mode "shift": the mixture sum_j coeffs[j] |j><j| against itself shifted
+    up by k levels; "lowest": Fock state k against sum_j coeffs[j] |k+j><k+j|.
+    The right output must equal D**k or sum_j coeffs[j] D**j applied to the
+    left one. All 2R outputs come from one 2R-row weight matrix (R left
+    mixtures, then R right ones), one prefix_sums pass and one decide call,
+    and each degree of D is one ladder_matvec over the R left outputs.
+    Raises WitnessError naming the first draw that deviates beyond tol,
+    DomainError for an unknown mode or no draws, and as check_index,
+    check_coefficients and compare_stack for the other arguments.
+    """
+    require(mode in ("shift", "lowest"), "mode", mode, "'shift' or 'lowest'")
+    draws = [(check_index("k", k), check_coefficients(c)) for c, k in draws]
+    require(len(draws) > 0, "draws", draws, "at least one (coeffs, k) draw")
+    top = check_index("k + len(coeffs) - 1", max(k + len(c) - 1 for k, c in draws))
+    grid = _ensure_grid(spec, top, grid)
+    check_real("tol", tol, "a finite tolerance")
+    R, shift = len(draws), mode == "shift"
+    low = 0 if shift else min(k for k, _ in draws)
+    W = np.zeros((2 * R, top + 1 - low))
+    poly = np.zeros((R, 1 + max(k if shift else len(c) - 1 for k, c in draws)))
+    for r, (k, c) in enumerate(draws):
+        W[R + r, k - low:k - low + len(c)] = c
+        if shift:
+            W[r, :len(c)] = c
+            poly[r, k] = 1.0
+        else:
+            W[r, k - low] = 1.0
+            poly[r, :len(c)] = c
+    out, tails = _output_of_weights(grid, W, offset=low)
+    prefix = prefix_sums(out, tails, sort=True, name="mixture output")
+    verdicts = decide(prefix[:R] - prefix[R:], tol, tails[:R], tails[R:])
+    p, v = grid.params, out[:R]
+    image = poly[:, :1] * v
+    for d in range(1, poly.shape[1]):
+        v = ladder_matvec(p.alpha, p.beta, p.nu, v, v.shape[1])
+        image += poly[:, d:d + 1] * v
+    err = np.abs(image - out[R:]).max(axis=1)
+    if (err > tol).any():
+        r = int(np.argmax(err > tol))
+        what = (f"D^{draws[r][0]} image deviates from the shifted output" if shift
+                else "convex-combination image deviates from the mixture output")
+        raise WitnessError(f"draw {r}: {what} by {err[r]:.3e}")
+    return verdicts
 
 
 def mixture_shift_check(spec: ChannelSpec, coeffs, k: int, tol: float = 1e-12,
                         grid: Optional[TransitionGrid] = None) -> MajorizationVerdict:
     """Output of a Fock mixture against the output of the same mixture
-    shifted up by k levels.
-
-    The shifted output must equal D**k applied to the unshifted one; that
-    identity is verified entrywise (WitnessError beyond tol) and certifies
-    the expected LeftMajorizes verdict, which is returned.
-    """
-    k, coeffs, grid = _mixture_setup(spec, coeffs, k, grid)
-    params = grid.params
-    W = np.zeros((2, len(coeffs) + k))
-    W[0, :len(coeffs)] = coeffs
-    W[1, k:] = coeffs
-    out, tails = _output_of_weights(grid, W)
-    # decided first, so that a non-finite tol is rejected before the witness
-    verdict = compare_stack(out[:1], out[1:], tails[:1], tails[1:], tol).verdict(0)
-    if k > 0:
-        w = out[0]
-        for _ in range(k):
-            w = ladder_matvec(params.alpha, params.beta, params.nu, w, len(w))
-        err = float(np.abs(w - out[1]).max())
-        if err > tol:
-            raise WitnessError(
-                f"D^{k} image deviates from the shifted output by {err:.3e}")
-    return verdict
+    shifted up by k levels, witnessed through D**k: one mixture_checks row."""
+    return mixture_checks(spec, "shift", [(coeffs, k)], tol, grid).verdict(0)
 
 
 def mixture_vs_lowest_fock(spec: ChannelSpec, coeffs, k: int, tol: float = 1e-12,
                            grid: Optional[TransitionGrid] = None) -> MajorizationVerdict:
-    """Output of Fock state k against the output of a mixture whose lowest
-    component is k.
-
-    Witness: the mixture output equals (sum_i coeffs[i] D**i) applied to
-    row k; convexity of column-stochastic matrices then forces the row-k
-    output to majorize it.
-    """
-    k, coeffs, grid = _mixture_setup(spec, coeffs, k, grid)
-    params = grid.params
-    W = np.zeros((2, len(coeffs)))
-    W[0, 0] = 1.0  # Fock state k itself
-    W[1] = coeffs
-    out, tails = _output_of_weights(grid, W, offset=k)
-    # decided first, so that a non-finite tol is rejected before the witness
-    verdict = compare_stack(out[:1], out[1:], tails[:1], tails[1:], tol).verdict(0)
-    v = out[0]
-    acc = coeffs[0] * v
-    for ci in coeffs[1:]:
-        v = ladder_matvec(params.alpha, params.beta, params.nu, v, len(v))
-        acc = acc + ci * v
-    err = float(np.abs(acc - out[1]).max())
-    if err > tol:
-        raise WitnessError(
-            f"convex-combination image deviates from the mixture output by {err:.3e}")
-    return verdict
+    """Output of Fock state k against that of a mixture whose lowest component
+    is k, witnessed through sum_j coeffs[j] D**j: one mixture_checks row."""
+    return mixture_checks(spec, "lowest", [(coeffs, k)], tol, grid).verdict(0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ from .channel import LimitRoute, abgx, make_channel, noise_limit_params
 from .entropy import chain_check
 from .errors import WitnessError
 from .experiments import (BinaryPattern, conjecture_scan, counterexample_search,
-                          ladder_verify, make_counterexample_corpus,
-                          mixture_shift_check, mixture_vs_lowest_fock,
+                          ladder_verify, make_counterexample_corpus, mixture_checks,
                           passive_path, standard_grid, DEFAULT_SEED)
 from .kernels import ladder_matvec
 from .majorization import (RELATIONS, FockDiagonalState, build_D,
@@ -198,21 +197,20 @@ def criterion_8_mixture_properties() -> CriterionResult:
     for idx, spec in enumerate(standard_grid()):
         grid = grid_recurrence(abgx(spec), 10, 1e-10)
         rng = np.random.default_rng([DEFAULT_SEED, idx])
-        for _ in range(100):
-            m = int(rng.integers(1, 7))
-            c = rng.dirichlet(np.ones(m))
-            k = int(rng.integers(0, 6))
-            try:
-                v1 = mixture_shift_check(spec, c, k, grid=grid)
-                v2 = mixture_vs_lowest_fock(spec, c, k, grid=grid)
-            except WitnessError as exc:
-                return _result("C8", "mixture properties", False,
-                               f"witness identity failed on {spec.label()}: {exc}", t0)
-            if not (v1.holds_left and v2.holds_left):
+        draws = [(rng.dirichlet(np.ones(int(rng.integers(1, 7)))), int(rng.integers(0, 6)))
+                 for _ in range(100)]
+        try:
+            shift = mixture_checks(spec, "shift", draws, grid=grid)
+            lowest = mixture_checks(spec, "lowest", draws, grid=grid)
+        except WitnessError as exc:
+            return _result("C8", "mixture properties", False,
+                           f"witness identity failed on {spec.label()}: {exc}", t0)
+        for a, b in zip(shift.codes, lowest.codes):
+            if a >= 2 or b >= 2:  # a left direction fails
                 return _result("C8", "mixture properties", False,
                                f"unexpected verdict on {spec.label()}: "
-                               f"{v1.relation.value}/{v2.relation.value}", t0)
-            n_checks += 2
+                               f"{RELATIONS[a].value}/{RELATIONS[b].value}", t0)
+        n_checks += 2 * len(draws)
     return _result("C8", "shifted-mixture and lowest-Fock dominance, 100 draws/channel",
                    True, f"{n_checks} seeded checks, all verdicts and witnesses ok", t0)
 

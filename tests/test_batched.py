@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from fockladder import (BinaryPattern, DomainError, FockDiagonalState,
                         NormalizationError, Relation, abgx, conjecture_scan,
                         fock_compare, grid_recurrence, majorize_compare,
+                        mixture_shift_check, mixture_vs_lowest_fock,
                         passive_path, standard_grid)
+from fockladder.experiments import mixture_checks
 from fockladder.majorization import compare_stack
 
 from prefix_reference import (prefix_margins, reference_verdict,
@@ -196,3 +198,22 @@ def test_passive_path_matches_per_pattern_definition():
         for bits in itertools.product((0, 1), repeat=length):
             if sum(bits):
                 assert [p.bits for p in passive_path(BinaryPattern(bits))] == _path(bits)
+
+
+@pytest.mark.parametrize("idx", range(36), ids=[s.label() for s in standard_grid()])
+def test_mixture_batch_rows_match_one_row_calls(idx):
+    spec = standard_grid()[idx]
+    grid = grid_recurrence(abgx(spec), 10)
+    rng = np.random.default_rng([11, idx])
+    draws = [(rng.dirichlet(np.ones(rng.integers(1, 7))), int(rng.integers(0, 6)))
+             for _ in range(8)]
+    for mode, single in (("shift", mixture_shift_check), ("lowest", mixture_vs_lowest_fock)):
+        batch = mixture_checks(spec, mode, draws, grid=grid)
+        assert len(batch.codes) == len(draws)
+        for r, (c, k) in enumerate(draws):
+            assert repr(batch.verdict(r)) == repr(single(spec, c, k, grid=grid))
+        # an empty set of checks never passes vacuously
+        with pytest.raises(DomainError, match="draws"):
+            mixture_checks(spec, mode, [], grid=grid)
+    with pytest.raises(DomainError, match="mode"):
+        mixture_checks(spec, "highest", draws, grid=grid)

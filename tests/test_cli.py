@@ -344,6 +344,22 @@ def test_ladder_passes(capsys, monkeypatch):
     assert json.loads(out)["pass"] is True
 
 
+def test_failed_ladder_witness_fails_the_report(capsys, monkeypatch):
+    # every step still majorizes the next; only D t(i-1) = t(i) is broken
+    from fockladder import experiments, make_channel
+    real = experiments.ladder_matvec
+    monkeypatch.setattr(experiments, "ladder_matvec",
+                        lambda *args: real(*args) + 1e-9)
+    report = experiments.ladder_verify(make_channel("amp", g=2.0, thermal_N=0.0), 10)
+    assert all(v.holds_left for v in report.verdicts)
+    assert report.witness_max_err > 1e-12 and report.passed is False
+    code, out, _ = run_cli(capsys, monkeypatch,
+                           ["ladder", "--family", "amp", "--g", "2", "--N", "0",
+                            "--imax", "10"])
+    assert code == 1
+    assert json.loads(out)["pass"] is False
+
+
 def test_entropy_csv_and_bits(capsys, monkeypatch):
     import math
     code, nats, _ = run_cli(capsys, monkeypatch,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,9 @@ from fockladder import (BinaryPattern, DomainError, FockDiagonalState, Normaliza
                         fock_compare, grid_recurrence, ladder_verify, majorize_compare,
                         make_channel, make_counterexample_corpus, mixture_shift_check,
                         mixture_vs_lowest_fock, passive_path, standard_grid)
-from fockladder.experiments import CorpusPair, _output_of_weights
+from fockladder import suite
+from fockladder.errors import WitnessError
+from fockladder.experiments import CorpusPair, _output_of_weights, mixture_checks
 
 
 def test_standard_grid_covers_all_families():
@@ -101,6 +104,33 @@ def test_mixture_rejects_foreign_grid_cache():
     wrong = grid_recurrence(abgx(make_channel("lossy", eta=0.5, thermal_N=0.0)), 8)
     with pytest.raises(ValueError):
         mixture_shift_check(spec, [0.5, 0.5], 2, grid=wrong)
+
+
+def test_mixture_witnesses_catch_a_wrong_grid():
+    # rows 2 and 3 swapped with their tails: parameters right, every row still
+    # a distribution, only D t(i-1) = t(i) fails
+    spec = make_channel("amp", g=2.0, thermal_N=0.5)
+    grid = grid_recurrence(abgx(spec), 8)
+    swap = [0, 1, 3, 2] + list(range(4, grid.i_max + 1))
+    bad = dataclasses.replace(grid, rows=grid.rows[swap], tails=grid.tails[swap])
+    with pytest.raises(WitnessError, match="D\\^1 image"):
+        mixture_shift_check(spec, [0.5, 0.5], 1, grid=bad)
+    with pytest.raises(WitnessError, match="convex-combination image"):
+        mixture_vs_lowest_fock(spec, [0.5, 0.5], 2, grid=bad)
+    # draw 0 never reaches the swapped rows; draw 1 does
+    for mode, draws in (("shift", [([1.0], 1), ([0.5, 0.5], 1)]),
+                        ("lowest", [([0.5, 0.5], 0), ([0.5, 0.5], 2)])):
+        with pytest.raises(WitnessError, match="^draw 1: "):
+            mixture_checks(spec, mode, draws, grid=bad)
+
+
+def test_mixture_criterion_fails_when_a_witness_fails(monkeypatch):
+    def broken(spec, mode, draws, tol=1e-12, grid=None):
+        raise WitnessError("draw 3: D^2 image deviates from the shifted output by 1.000e-02")
+    monkeypatch.setattr(suite, "mixture_checks", broken)
+    result = suite.criterion_8_mixture_properties()
+    assert not result.passed
+    assert "witness identity failed" in result.detail and "draw 3" in result.detail
 
 
 def test_passive_path_reference_chain():
