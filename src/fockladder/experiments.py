@@ -199,10 +199,13 @@ def mixture_vs_lowest_fock(spec: ChannelSpec, coeffs, k: int, tol: float = 1e-12
 # ---------------------------------------------------------------------------
 
 MAX_SCAN_LENGTH = 16
-# Pattern outputs and pair margins are built in row chunks of about this
-# many cells, so a scan's temporaries stay a fixed size whatever the length
-# and the grid width.
-SCAN_CHUNK_CELLS = 1 << 13
+# Consecutive groups of patterns are merged into spans of at most this many
+# cells, each decided in one prefix_sums and one decide call; a larger group
+# is done in row chunks of this size. Temporaries beyond the chunks are two
+# arrays the size of the largest group, C(L, L//2) x width floats (62 MiB at
+# L = 16, width 314). On the passive_scan sweep (widths 29-65) a pass took
+# 12-21% longer at 2^13, 2^15 or 2^16 cells than at 2^14.
+SCAN_CHUNK_CELLS = 1 << 14
 
 
 def _passive_move(code):
@@ -271,11 +274,17 @@ class _ScanPlan:
     it is named by that pattern's row: one verdict per row decides every
     check. `compared` lists the checks, swaps first, then the path moves
     of every pattern in enumeration order.
+
+    A pattern's parent is the same pattern with its highest occupied level
+    cleared, so it sits in the group with one fewer one. For k = 2 the
+    parent holds a single one, which is not a row: parent then holds that
+    level, the grid row the output is built from.
     """
 
     bits: np.ndarray      # (rows, length) 0/1 matrix
     groups: tuple         # (k, first row, (rows, k) levels of the ones) per number of ones k
     next_row: np.ndarray  # row of each pattern's move, -1 for the passive pattern
+    parent: np.ndarray    # row of the pattern without its highest one; for k = 2, its level
     compared: np.ndarray
     n_patterns: int
     n_swap: int
@@ -321,18 +330,22 @@ def _scan_plan(length: int) -> _ScanPlan:
     row_of[order] = np.arange(len(order))
     bits = bits_all[order].astype(np.uint8)
     next_row = row_of[moves[order]]
+    parent = row_of[order - (order & -order)]  # the lowest bit is the highest level
     groups = []
     for k in range(2, length + 1):
         rows = np.flatnonzero(n_ones[order] == k)
         if len(rows):
             ones = np.nonzero(bits[rows])[1].reshape(len(rows), k)
             groups.append((k, int(rows[0]), _readonly(ones)))
+            if k == 2:
+                parent[rows] = ones[:, 0]
 
     energy = (bits * np.arange(length)).sum(axis=1) / n_ones[order]
     raises = (next_row >= 0) & (energy[next_row] > energy)
     compared = row_of[checked]
     return _ScanPlan(
         bits=_readonly(bits), groups=tuple(groups), next_row=_readonly(next_row),
+        parent=_readonly(parent),
         compared=_readonly(compared), n_patterns=len(starts), n_swap=len(swaps),
         n_steps=len(steps), energy_violations=tuple(np.flatnonzero(raises[compared]).tolist()))
 
@@ -341,33 +354,66 @@ def _label(bits) -> str:
     return "".join(str(int(b)) for b in bits)
 
 
+def _spans(groups, chunk_rows: int) -> list:
+    """Consecutive groups merged while their rows fit in chunk_rows; a larger
+    group is a span of its own. The lone passive pattern of k = length
+    compares with nothing and is left out."""
+    spans, rows = [], 0
+    for group in groups:
+        n = len(group[2])
+        if n < 2:
+            continue
+        if spans and rows + n <= chunk_rows:
+            spans[-1].append(group)
+            rows += n
+        else:
+            spans.append([group])
+            rows = n
+    return spans
+
+
 def _decide_plan(grid: TransitionGrid, plan: _ScanPlan, tol: float):
     """Relation code (index into RELATIONS), worst slack and left slack of every row's check on
     this grid (unset for passive rows).
 
-    Each pattern's output is built once: rows accumulate in ascending
-    level order, as grid.rows[ones].sum(axis=0) does, so every sum is
-    bit-identical to a per-pattern computation. A move keeps the number of
-    ones, so one group's prefix sums at a time suffice.
+    Each pattern's unnormalized output is its parent's plus the grid row of
+    its highest level: the rows accumulate in ascending level order, as
+    grid.rows[ones].sum(axis=0) does, so every output is bit-identical to
+    a per-pattern computation. A move keeps the number of ones, so no pair
+    crosses a group: each span of whole groups (see _spans) is validated,
+    sorted and summed in one prefix_sums call and decided in one decide
+    call, and only a group larger than the chunk is done in row chunks.
+    The previous group's sums are dropped once the next group is built
+    from them, before any prefix sums exist, so beyond chunk-sized
+    temporaries at most two arrays the size of the largest group are held.
     """
-    n_rows = len(plan.bits)
-    chunk_rows = max(1, SCAN_CHUNK_CELLS // grid.rows.shape[1])
+    n_rows, width = len(plan.bits), grid.rows.shape[1]
+    chunk_rows = max(1, SCAN_CHUNK_CELLS // width)
     relation = np.zeros(n_rows, dtype=np.int8)
     worst = np.zeros(n_rows)
     left_slack = np.full(n_rows, np.inf)
-    for k, first, ones in plan.groups:
-        if len(ones) < 2:  # the passive pattern alone: nothing to compare
-            continue
-        tails = grid.tails[ones].sum(axis=1) / k
-        prefix = np.empty((len(ones), grid.rows.shape[1]))
-        for lo in range(0, len(ones), chunk_rows):
-            chunk = ones[lo:lo + chunk_rows]
-            out = grid.rows[chunk[:, 0]]
-            for c in range(1, k):
-                out += grid.rows[chunk[:, c]]
-            prefix[lo:lo + len(chunk)] = prefix_sums(
-                out / k, tails[lo:lo + len(chunk)], sort=True, name="pattern output")
-        right = np.flatnonzero(plan.next_row[first:first + len(ones)] >= 0)
+    prev, prev_first = grid.rows, 0  # group k-1's sums; the grid rows for k = 2
+    for span in _spans(plan.groups, chunk_rows):
+        first = span[0][1]
+        n = sum(len(ones) for _, _, ones in span)
+        sums, scale, tails = np.empty((n, width)), np.empty((n, 1)), np.empty(n)
+        for k, start, ones in span:
+            at = start - first
+            for lo in range(0, len(ones), chunk_rows):
+                hi = min(lo + chunk_rows, len(ones))
+                out = sums[at + lo:at + hi]
+                np.take(prev, plan.parent[start + lo:start + hi] - prev_first, axis=0,
+                        out=out, mode="clip")  # in range; "raise" would buffer out
+                out += grid.rows[ones[lo:hi, -1]]
+            prev, prev_first = sums[at:at + len(ones)], start
+            scale[at:at + len(ones)] = k
+            tails[at:at + len(ones)] = grid.tails[ones].sum(axis=1) / k
+        prefix = np.empty((n, width))
+        for lo in range(0, n, chunk_rows):
+            prefix[lo:lo + chunk_rows] = prefix_sums(
+                sums[lo:lo + chunk_rows] / scale[lo:lo + chunk_rows],
+                tails[lo:lo + chunk_rows], sort=True, name="pattern output")
+        right = np.flatnonzero(plan.next_row[first:first + n] >= 0)
         left = plan.next_row[first + right] - first
         for lo in range(0, len(right), chunk_rows):
             a, b = left[lo:lo + chunk_rows], right[lo:lo + chunk_rows]
@@ -375,6 +421,7 @@ def _decide_plan(grid: TransitionGrid, plan: _ScanPlan, tol: float):
             relation[first + b] = v.codes
             worst[first + b] = v.worst_slack
             left_slack[first + b] = v.left_slack
+        del prefix, sums  # prev keeps the last group's sums alive
     return relation, worst, left_slack
 
 
@@ -421,7 +468,9 @@ def conjecture_scan(spec: ChannelSpec, length: int, tol: float = 1e-12,
     to break down; those verdicts are reported but never asserted.
 
     The enumeration is planned once per length and cached; each scan then
-    decides every distinct compared pair in one batched pass.
+    builds every pattern's output from its parent's with one row added,
+    and decides every distinct compared pair in a few wide spans of whole
+    groups of patterns with the same number of ones (see _decide_plan).
     """
     length = check_index("length", length, 2, MAX_SCAN_LENGTH)
     check_real("tol", tol, "a finite tolerance")

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from fockladder import (BinaryPattern, DomainError, FockDiagonalState,
                         NormalizationError, Relation, abgx, conjecture_scan,
                         fock_compare, grid_recurrence, majorize_compare,
-                        mixture_shift_check, mixture_vs_lowest_fock,
+                        make_channel, mixture_shift_check, mixture_vs_lowest_fock,
                         passive_path, standard_grid)
-from fockladder.experiments import mixture_checks
+from fockladder import experiments
+from fockladder.experiments import _scan_plan, mixture_checks
 from fockladder.majorization import compare_stack
 
 from prefix_reference import (prefix_margins, reference_verdict,
@@ -179,18 +180,86 @@ def per_pattern_scan(grid, length, tol, margins):
             violations)
 
 
+def _first_of_each_family():
+    firsts = {}
+    for spec in standard_grid():
+        firsts.setdefault(spec.family, spec)
+    return list(firsts.values())
+
+
+FAMILY_FIRSTS = _first_of_each_family()
+
+
 @pytest.mark.parametrize("spec", standard_grid(), ids=lambda s: s.label())
-def test_batched_scan_matches_per_pattern_scan(spec):
+def test_batched_scan_matches_per_pattern_scan(spec, monkeypatch):
     grid = grid_recurrence(abgx(spec), 7)
+    budgets = [experiments.SCAN_CHUNK_CELLS]
+    if spec in FAMILY_FIRSTS:  # one span per group chunked row by row; one span in all
+        budgets += [grid.rows.shape[1], 1 << 40]
     margins = {}
     for length in range(2, 9):
         for tol in (1e-12, -1.0):  # at tol=-1.0 every check fails and is listed
-            rep = conjecture_scan(spec, length, tol, grid=grid)
-            got = (rep.n_patterns, rep.n_swap_checks, rep.n_chain_steps,
-                   rep.worst_slack, list(rep.violations))
-            assert got == per_pattern_scan(grid, length, tol, margins)
-            if tol < 0:
-                assert len(rep.violations) == rep.n_swap_checks + rep.n_chain_steps
+            want = per_pattern_scan(grid, length, tol, margins)
+            for cells in budgets:
+                monkeypatch.setattr(experiments, "SCAN_CHUNK_CELLS", cells)
+                rep = conjecture_scan(spec, length, tol, grid=grid)
+                got = (rep.n_patterns, rep.n_swap_checks, rep.n_chain_steps,
+                       rep.worst_slack, list(rep.violations))
+                assert got == want
+                if tol < 0:
+                    assert len(rep.violations) == rep.n_swap_checks + rep.n_chain_steps
+
+
+def test_scan_chunk_budget_sets_the_calls(monkeypatch):
+    # one row's cells: every group is chunked row by row and every span is
+    # one group; more cells than any scan has: the whole scan is one span
+    spec = standard_grid()[0]
+    grid = grid_recurrence(abgx(spec), 9)
+    calls = []
+
+    def counted(weights, *args, **kwargs):
+        calls.append(len(weights))
+        return prefix_sums(weights, *args, **kwargs)
+
+    prefix_sums = experiments.prefix_sums
+    monkeypatch.setattr(experiments, "prefix_sums", counted)
+    for length in range(2, 11):
+        compared = sum(len(ones) for _, _, ones in _scan_plan(length).groups if len(ones) > 1)
+        for cells, n_calls in ((grid.rows.shape[1], compared), (1 << 40, min(compared, 1))):
+            monkeypatch.setattr(experiments, "SCAN_CHUNK_CELLS", cells)
+            calls.clear()
+            conjecture_scan(spec, length, grid=grid)
+            assert len(calls) == n_calls and sum(calls) == compared
+
+
+@pytest.mark.parametrize("length", [12, 16])
+def test_long_scans_count_and_pass(length, monkeypatch):
+    spec = make_channel("lossy", eta=0.5, thermal_N=1.0)
+    rep = conjecture_scan(spec, length)
+    assert rep.n_patterns == 2 ** length - length - 1
+    assert rep.n_swap_checks == 2 ** (length - 3)
+    assert rep.passed
+    if length == 12:
+        grid = grid_recurrence(abgx(spec), length - 1)
+        monkeypatch.setattr(experiments, "SCAN_CHUNK_CELLS", 3 * grid.rows.shape[1])
+        assert repr(conjecture_scan(spec, length, grid=grid)) == repr(rep)
+
+
+@pytest.mark.parametrize("length", range(2, 11))
+def test_plan_parent_clears_the_highest_one(length):
+    plan = _scan_plan(length)
+    n_ones = plan.bits.sum(axis=1)
+    for k, first, ones in plan.groups:
+        rows = np.arange(first, first + len(ones))
+        cleared = plan.bits[rows].copy()
+        cleared[np.arange(len(rows)), ones[:, -1]] = 0
+        parent = plan.parent[rows]
+        if k == 2:  # a single one left, at the level parent holds
+            assert (cleared.sum(axis=1) == 1).all()
+            assert (cleared[np.arange(len(rows)), parent] == 1).all()
+        else:
+            assert (plan.bits[parent] == cleared).all()
+            assert (n_ones[parent] == k - 1).all()
 
 
 def test_passive_path_matches_per_pattern_definition():
