@@ -192,18 +192,16 @@ def abgx(spec: ChannelSpec) -> ChannelParams:
     return ChannelParams(alpha, beta, gamma, 1.0 - beta, nu=gamma + beta * alpha)
 
 
-def validate_params(p: ChannelParams, tol: float = 1e-14,
+def validate_params(p: ChannelParams,
                     spec: Optional[ChannelSpec] = None) -> ValidationReport:
     """Check the two affine identities and the sign conditions.
 
     Each entry of the report maps a check name to (passed, residual). The
     residuals of the three identities are evaluated exactly in rationals
     and then rounded to binary64, so a reported 0.0 means the identity
-    holds exactly for the binary64 tuple. Sign conditions get 1e-15 slack
-    on top of tol-free exact bounds. Raises DomainError for a NaN or
-    infinite tol.
+    holds exactly for the binary64 tuple; an identity passes within 1e-14.
+    Sign conditions get 1e-15 slack on top of exact bounds.
     """
-    tol = check_real("tol", tol, "a finite tolerance")
     slack = 1e-15
     alpha, beta, gamma, chi, nu = map(Fraction, (p.alpha, p.beta, p.gamma, p.chi, p.nu))
     residuals = {
@@ -211,7 +209,7 @@ def validate_params(p: ChannelParams, tol: float = 1e-14,
         "beta+chi=1": float(beta + chi - 1),
         "nu=gamma+beta*alpha": float(nu - gamma - beta * alpha),
     }
-    checks = {name: (abs(r) <= tol, r) for name, r in residuals.items()}
+    checks = {name: (abs(r) <= 1e-14, r) for name, r in residuals.items()}
     checks.update({
         "alpha>=0": (p.alpha >= -slack, p.alpha),
         "0<=beta<1": (-slack <= p.beta < 1.0, p.beta),

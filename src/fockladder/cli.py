@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Every library operation is reachable from exactly one subcommand (see
-OPERATIONS). Output is JSON by default (floats with 17 significant
-digits) or CSV with --format csv. Exit status: 0 on success, 1 when a
+OPERATIONS). Output is JSON (floats with 17 significant digits); params,
+grid, dmat (export), entropy and suite also print CSV with --format csv.
+Only conjecture takes --seed. Exit status: 0 on success, 1 when a
 verification fails (e.g. a majorization violation), 2 on usage or domain
 errors.
 """
@@ -20,8 +21,7 @@ import numpy as np
 
 from . import entropy as entropy_mod
 from .channel import abgx, make_channel, noise_limit_params, validate_params
-from .errors import (DomainError, NormalizationError, TruncationError, WitnessError,
-                     check_index, require)
+from .errors import DomainError, NormalizationError, TruncationError, WitnessError, require
 from .experiments import (conjecture_scan, ladder_verify, mixture_shift_check,
                           mixture_vs_lowest_fock, DEFAULT_SEED)
 from .majorization import (FockDiagonalState, apply_D_power, build_D,
@@ -90,10 +90,10 @@ def _add_channel_flags(sub) -> None:
     sub.add_argument("--n", type=float, help="added noise photons (noise)")
 
 
-def _add_io_flags(sub) -> None:
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
+def _add_io_flags(sub, csv: bool) -> None:
+    if csv:
+        sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", help="write output to this path instead of stdout")
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
 
 def _spec_from_args(args):
@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("params", help="channel parameter four-tuple and checks")
     _add_channel_flags(p)
-    _add_io_flags(p)
+    _add_io_flags(p, csv=True)
 
     p = subs.add_parser("grid", help="output distributions for Fock inputs")
     _add_channel_flags(p)
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", choices=("recurrence", "multinomial", "series",
                                         "special"), default="recurrence")
     p.add_argument("--row", type=int, help="row index for single-row oracles")
-    _add_io_flags(p)
+    _add_io_flags(p, csv=True)
 
     p = subs.add_parser("dmat", help="ladder matrix export / checks / application")
     _add_channel_flags(p)
@@ -150,20 +150,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power", type=int,
                    help="apply this matrix power to a JSON vector from stdin")
     p.add_argument("--tol", type=float, default=1e-12)
-    _add_io_flags(p)
+    _add_io_flags(p, csv=True)
 
     p = subs.add_parser("majorize", help="compare two distributions from stdin")
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--unordered", action="store_true",
                    help="prefix sums in Fock order (no sorting)")
-    _add_io_flags(p)
+    _add_io_flags(p, csv=False)
 
     p = subs.add_parser("ladder", help="verify the output majorization ladder")
     _add_channel_flags(p)
     p.add_argument("--imax", type=int, default=30)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--tail-tol", type=float, default=1e-10)
-    _add_io_flags(p)
+    _add_io_flags(p, csv=False)
 
     p = subs.add_parser("entropy", help="entropy chain over Fock inputs")
     _add_channel_flags(p)
@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'shannon', a nonnegative float, or 'inf'")
     p.add_argument("--bits", action="store_true", help="report in bits, not nats")
     p.add_argument("--tail-tol", type=float, default=1e-10)
-    _add_io_flags(p)
+    _add_io_flags(p, csv=True)
 
     p = subs.add_parser("mixture", help="mixture dominance checks")
     _add_channel_flags(p)
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--mode", choices=("shift", "lowest"), default="shift")
     p.add_argument("--tol", type=float, default=1e-12)
-    _add_io_flags(p)
+    _add_io_flags(p, csv=False)
 
     p = subs.add_parser("conjecture", help="passive-path scan over binary patterns")
     _add_channel_flags(p)
@@ -188,16 +188,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--nonbinary", type=int, default=0,
                    help="also sample this many non-binary patterns (reported only)")
-    _add_io_flags(p)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="seed of the non-binary samples")
+    _add_io_flags(p, csv=False)
 
     p = subs.add_parser("limit", help="added-noise row via a weak-coupling limit")
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--route", choices=("loss", "amp"), required=True)
-    _add_io_flags(p)
+    _add_io_flags(p, csv=False)
 
     p = subs.add_parser("suite", help="run the full acceptance battery")
-    _add_io_flags(p)
+    _add_io_flags(p, csv=True)
     return parser
 
 
@@ -230,8 +232,12 @@ def _cmd_grid(args) -> int:
         else:
             row = analytic_special(spec, args.row, args.nmax)
         if row is None:
-            _write(_emit_json({"row": None, "note": "no closed-form law applies"}),
-                   args.out)
+            note = "no closed-form law applies"
+            if args.format == "csv":
+                print(f"note: {note}", file=sys.stderr)
+                _write("", args.out)
+            else:
+                _write(_emit_json({"row": None, "note": note}), args.out)
             return 0
         if args.format == "csv":
             _write(",".join(f"{v:.17g}" for v in row) + "\n", args.out)
@@ -247,6 +253,8 @@ def _cmd_grid(args) -> int:
 def _cmd_dmat(args) -> int:
     spec = _spec_from_args(args)
     D = build_D(abgx(spec), args.dim)
+    require(args.format == "json" or (args.power is None and not args.check), "format",
+            args.format, "json: --check and --power print JSON only")
     if args.power is not None:
         payload = _read_stdin_object("v")
         state = FockDiagonalState.from_weights(payload["v"],
@@ -367,7 +375,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        check_index("seed", args.seed, 0, math.inf)
         return _DISPATCH[args.command](args)
     except (DomainError, NormalizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,19 +46,18 @@ def recurrence_grid(alpha, beta, gamma, chi, i_max, n_max):
     return rows
 
 
-def ladder_matvec(alpha, beta, nu, v, out_len):
+def ladder_matvec(alpha, beta, nu, v):
     """Apply the banded lower-triangular ladder matrix to v, or to every
     row of a stack v along its last axis.
 
-    out[k] = alpha*v[k] + nu * sum_{m>=1} beta**(m-1) * v[k-m], with v
-    zero-padded or cut to out_len entries; the sum is the scan of v
-    shifted down by one, taken in the output buffer.
+    out[k] = alpha*v[k] + nu * sum_{m>=1} beta**(m-1) * v[k-m], with as
+    many entries as v; the sum is the scan of v shifted down by one,
+    taken in the output buffer.
     """
-    v = np.asarray(v, dtype=np.float64)[..., :out_len]
-    n = v.shape[-1]
-    out = np.zeros(v.shape[:-1] + (out_len,))
-    out[..., 1:n + 1] = v[..., :out_len - 1]
+    v = np.asarray(v, dtype=np.float64)
+    out = np.zeros(v.shape)
+    out[..., 1:] = v[..., :-1]
     _scan_in_place(beta, out)
     out *= nu
-    out[..., :n] += alpha * v
+    out += alpha * v
     return out

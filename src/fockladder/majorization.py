@@ -406,6 +406,6 @@ def apply_D_power(params: ChannelParams, k: int, v: FockDiagonalState,
     w = np.zeros(out_len)
     w[:len(v.weights)] = v.weights
     for _ in range(k):
-        w = ladder_matvec(params.alpha, params.beta, params.nu, w, out_len)
+        w = ladder_matvec(params.alpha, params.beta, params.nu, w)
     tail = max(0.0, 1.0 - float(w.sum()))
     return FockDiagonalState.from_weights(w, tail)

@@ -121,13 +121,12 @@ def criterion_4_stochastic_witness() -> CriterionResult:
             col_dev = max(col_dev, rep.max_interior_col_dev)
         row_max = max(row_max, rep.max_row_sum)
         grid = grid_recurrence(params, 30, 1e-10)
-        width = grid.n_max + 1
-        image = ladder_matvec(params.alpha, params.beta, params.nu, grid.rows[:-1], width)
+        image = ladder_matvec(params.alpha, params.beta, params.nu, grid.rows[:-1])
         step_err = max(step_err, float(np.abs(image - grid.rows[1:]).max()))
         # i-fold power applied to the vacuum output row must reproduce row i
         v = grid.rows[0]
         for i in range(1, 31):
-            v = ladder_matvec(params.alpha, params.beta, params.nu, v, width)
+            v = ladder_matvec(params.alpha, params.beta, params.nu, v)
             power_err = max(power_err, float(np.abs(v - grid.rows[i]).max()))
     passed = (ok and min_entry >= -1e-15 and col_dev <= 1e-12
               and row_max <= 1.0 + 1e-12 and step_err <= 1e-12

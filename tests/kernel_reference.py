@@ -29,17 +29,16 @@ def recurrence_grid(alpha, beta, gamma, chi, i_max, n_max):
     return np.array(rows, dtype=np.float64)
 
 
-def ladder_matvec(alpha, beta, nu, v, out_len):
+def ladder_matvec(alpha, beta, nu, v):
     """Apply the banded lower-triangular ladder matrix to v.
 
     out[k] = alpha*v[k] + nu * sum_{m>=1} beta**(m-1) * v[k-m], evaluated
     through the running sum s[k] = beta*s[k-1] + v[k-1].
     """
-    m = len(v)
-    out = [0.0] * out_len
+    out = [0.0] * len(v)
     s = 0.0
-    for k in range(out_len):
+    for k in range(len(v)):
         if k > 0:
-            s = beta * s + (v[k - 1] if k - 1 < m else 0.0)
-        out[k] = (alpha * v[k] if k < m else 0.0) + nu * s
+            s = beta * s + v[k - 1]
+        out[k] = alpha * v[k] + nu * s
     return np.array(out, dtype=np.float64)

@@ -80,8 +80,8 @@ def test_validate_params_passes_for_valid_specs():
     for spec in (make_channel("lossy", eta=0.3, thermal_N=2.0),
                  make_channel("amp", g=5.0, thermal_N=0.5),
                  make_channel("conj", g=1.2, thermal_N=2.0),
-                 make_channel("noise", added_n=2.0)):
-        report = validate_params(abgx(spec), tol=1e-12, spec=spec)
+                 make_channel("noise", added_n=2.0), *standard_grid()):
+        report = validate_params(abgx(spec), spec=spec)
         assert report.ok, report.checks
 
 
@@ -259,8 +259,3 @@ def test_noise_limit_rejects_unknown_route():
     with pytest.raises(DomainError, match="route"):
         noise_limit_params(1.0, 0.5, "banana")
 
-
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), "1e-14"])
-def test_validate_params_rejects_non_finite_tol(tol):
-    with pytest.raises(DomainError, match="tol"):
-        validate_params(abgx(make_channel("noise", added_n=1.0)), tol=tol)

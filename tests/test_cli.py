@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -95,6 +96,40 @@ def test_grid_oracle_special_fallthrough(capsys, monkeypatch):
                             "--nmax", "8"])
     assert code == 0
     assert json.loads(out)["row"] is None
+
+
+def test_grid_oracle_special_fallthrough_csv_prints_no_row(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["grid", "--family", "lossy", "--eta", "0.5",
+                              "--N", "1", "--oracle", "special", "--row", "5",
+                              "--nmax", "8", "--format", "csv"])
+    assert code == 0
+    assert out == ""
+    assert err == "note: no closed-form law applies\n"
+
+
+@pytest.mark.parametrize("mode", [["--check"], ["--power", "1"]], ids=["check", "power"])
+def test_dmat_json_only_modes_refuse_csv(mode, capsys, monkeypatch):
+    assert_exit_2_naming(*run_cli(capsys, monkeypatch,
+                                  ["dmat", "--family", "lossy", "--eta", "0.5", "--N", "1",
+                                   "--dim", "4", *mode, "--format", "csv"],
+                                  stdin='{"v": [1, 0]}'),
+                         "format=")
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "--seed", "7"],
+    ["ladder", "--family", "lossy", "--eta", "0.5", "--N", "1", "--format", "csv"],
+    ["majorize", "--seed", "0"],
+    ["limit", "--n", "1", "--eps", "0.1", "--route", "loss", "--format", "csv"],
+], ids=["suite-seed", "ladder-format", "majorize-seed", "limit-format"])
+def test_undeclared_seed_and_format_are_usage_errors(argv, capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_dmat_band_descriptor(capsys, monkeypatch):
@@ -446,6 +481,57 @@ def test_suite_dispatch_with_stubbed_criteria(capsys, monkeypatch):
     assert lines[2].startswith("CY,0")
 
 
+class RecordingNamespace(argparse.Namespace):
+    """An argparse namespace that records the name of every option read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self._read = set()
+
+    def __getattribute__(self, name):
+        attrs = object.__getattribute__(self, "__dict__")
+        if name in attrs and not name.startswith("_"):
+            attrs["_read"].add(name)
+        return object.__getattribute__(self, name)
+
+
+LOSSY = ["--family", "lossy", "--eta", "0.5", "--N", "0"]
+# every mode of each subcommand, as (argv after the subcommand, stdin)
+READ_MODES = {
+    "params": [(LOSSY, "")],
+    "grid": [(LOSSY + ["--imax", "3"], "")] + [
+        (LOSSY + ["--oracle", oracle, "--row", "2", "--nmax", "8"], "")
+        for oracle in ("multinomial", "series", "special")],
+    "dmat": [(LOSSY + ["--dim", "4"], ""), (LOSSY + ["--dim", "4", "--check"], ""),
+             (LOSSY + ["--dim", "4", "--power", "2"], '{"v": [0, 1]}')],
+    "majorize": [([], '{"p": [1, 0], "q": [0.5, 0.5]}')],
+    "ladder": [(LOSSY + ["--imax", "3"], "")],
+    "entropy": [(LOSSY + ["--imax", "3"], "")],
+    "mixture": [(LOSSY + ["--weights", "0.5,0.5"], "")],
+    "conjecture": [(LOSSY + ["--length", "3", "--nonbinary", "2"], "")],
+    "limit": [(["--n", "1", "--eps", "0.1", "--route", "loss"], "")],
+    "suite": [([], "")],
+}
+
+
+@pytest.mark.parametrize("command", READ_MODES)
+def test_every_declared_option_is_read(command, capsys, monkeypatch):
+    from fockladder.suite import CriterionResult
+    monkeypatch.setattr(cli, "CRITERIA", [lambda: CriterionResult("CX", "stub", True, "ok", 0.0)])
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {a.dest for a in subparsers.choices[command]._actions} - {"help"}
+    read = set()
+    for argv, stdin in READ_MODES[command]:
+        args = parser.parse_args([command, *argv], namespace=RecordingNamespace())
+        args._read.clear()  # argparse itself reads every default while parsing
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        assert cli._DISPATCH[command](args) == 0
+        read |= args._read
+    capsys.readouterr()
+    assert declared - read == set()
+
+
 def test_every_operation_reachable_exactly_once():
     published_ops = {
         "make_channel", "abgx", "validate_params", "noise_limit_params",
@@ -486,21 +572,21 @@ _CHANNEL_FLAGS = [("--family", st.sampled_from(["lossy", "amp", "noise", "conj",
                                                 "banana"])),
                   ("--eta", _floats_as_text()), ("--g", _floats_as_text()),
                   ("--N", _floats_as_text()), ("--n", _floats_as_text())]
-_IO_FLAGS = [("--format", st.sampled_from(["json", "csv"])),
-             ("--out", st.sampled_from(["/nonexistent/dir/x.json", "."])),
-             ("--seed", _INDICES)]
+_OUT_FLAG = [("--out", st.sampled_from(["/nonexistent/dir/x.json", "."]))]
+_FORMAT_FLAG = [("--format", st.sampled_from(["json", "csv"]))]
 _FLAGS = {
-    "params": _CHANNEL_FLAGS,
-    "grid": _CHANNEL_FLAGS + [
+    "params": _CHANNEL_FLAGS + _FORMAT_FLAG,
+    "grid": _CHANNEL_FLAGS + _FORMAT_FLAG + [
         ("--imax", _INDICES), ("--tail-tol", _floats_as_text()), ("--nmax", _INDICES),
         ("--oracle", st.sampled_from(["recurrence", "multinomial", "series", "special"])),
         ("--row", _INDICES)],
-    "dmat": _CHANNEL_FLAGS + [("--dim", _INDICES), ("--check", st.just(None)),
-                              ("--power", _INDICES), ("--tol", _floats_as_text())],
+    "dmat": _CHANNEL_FLAGS + _FORMAT_FLAG + [
+        ("--dim", _INDICES), ("--check", st.just(None)), ("--power", _INDICES),
+        ("--tol", _floats_as_text())],
     "majorize": [("--tol", _floats_as_text()), ("--unordered", st.just(None))],
     "ladder": _CHANNEL_FLAGS + [("--imax", _INDICES), ("--tol", _floats_as_text()),
                                 ("--tail-tol", _floats_as_text())],
-    "entropy": _CHANNEL_FLAGS + [
+    "entropy": _CHANNEL_FLAGS + _FORMAT_FLAG + [
         ("--imax", _INDICES), ("--bits", st.just(None)), ("--tail-tol", _floats_as_text()),
         ("--order", _floats_as_text() | st.sampled_from(["shannon", "inf", "5000"]))],
     "mixture": _CHANNEL_FLAGS + [
@@ -510,7 +596,7 @@ _FLAGS = {
         ("--tol", _floats_as_text())],
     "conjecture": _CHANNEL_FLAGS + [
         ("--length", st.sampled_from(["-1", "1", "2", "3", "4", "17", "2.5"])),
-        ("--tol", _floats_as_text()), ("--nonbinary", _INDICES)],
+        ("--tol", _floats_as_text()), ("--nonbinary", _INDICES), ("--seed", _INDICES)],
     "limit": [("--n", _floats_as_text()), ("--eps", _floats_as_text()),
               ("--route", st.sampled_from(["loss", "amp", "banana"]))],
 }
@@ -528,7 +614,7 @@ _STDIN = st.sampled_from(['{"p": [0.5, 0.5], "q": [1]}', '{"v": [1, 0]}',
 def _invocations(draw):
     command = draw(st.sampled_from(sorted(_FLAGS)))
     argv = [command]
-    for flag, values in _FLAGS[command] + _IO_FLAGS:
+    for flag, values in _FLAGS[command] + _OUT_FLAG:
         if draw(st.booleans()):
             value = draw(values)
             argv.append(flag if value is None else f"{flag}={value}")

@@ -24,6 +24,14 @@ def scan(beta, x):
     return kernels._scan_in_place(beta, np.array(x, dtype=np.float64))
 
 
+def fit(v, length):
+    """v along its last axis zero-padded or cut to length entries."""
+    v = np.asarray(v, dtype=np.float64)[..., :length]
+    out = np.zeros(v.shape[:-1] + (length,))
+    out[..., :v.shape[-1]] = v
+    return out
+
+
 def test_geometric_scan_is_the_first_order_recurrence():
     x = np.array([1.0, 2.0, 0.0, -1.0, 0.5])
     y = x.copy()
@@ -46,8 +54,9 @@ def test_recurrence_grid_matches_reference(p):
 def test_ladder_matvec_matches_reference(p):
     v = np.random.default_rng(0).dirichlet(np.ones(200))
     for out_len in (0, 1, 150, 200, 300):
-        new = kernels.ladder_matvec(p.alpha, p.beta, p.nu, v, out_len)
-        ref = kernel_reference.ladder_matvec(p.alpha, p.beta, p.nu, v, out_len)
+        w = fit(v, out_len)
+        new = kernels.ladder_matvec(p.alpha, p.beta, p.nu, w)
+        ref = kernel_reference.ladder_matvec(p.alpha, p.beta, p.nu, w)
         assert new.shape == (out_len,)
         np.testing.assert_allclose(new, ref, rtol=0, atol=ATOL)
 
@@ -59,18 +68,20 @@ def test_stacked_calls_equal_row_by_row_calls(p):
     np.testing.assert_array_equal(
         scan(p.beta, rows), [scan(p.beta, row) for row in rows])
     for out_len in (0, 1, width // 2, width, width + 40):
-        stacked = kernels.ladder_matvec(p.alpha, p.beta, p.nu, rows, out_len)
+        stack = fit(rows, out_len)
+        stacked = kernels.ladder_matvec(p.alpha, p.beta, p.nu, stack)
         assert stacked.shape == (len(rows), out_len)
-        for row, image in zip(rows, stacked):
-            np.testing.assert_array_equal(
-                image, kernels.ladder_matvec(p.alpha, p.beta, p.nu, row, out_len))
+        for row, image in zip(stack, stacked):
+            np.testing.assert_array_equal(image, kernels.ladder_matvec(p.alpha, p.beta, p.nu, row))
+            np.testing.assert_allclose(
+                image, kernel_reference.ladder_matvec(p.alpha, p.beta, p.nu, row),
+                rtol=0, atol=ATOL)
 
 
 def test_empty_stack():
-    empty = np.zeros((0, 5))
-    assert scan(0.5, empty).shape == (0, 5)
-    for out_len in (0, 3, 8):
-        assert kernels.ladder_matvec(0.5, 0.5, 0.25, empty, out_len).shape == (0, out_len)
+    assert scan(0.5, np.zeros((0, 5))).shape == (0, 5)
+    for width in (0, 3, 8):
+        assert kernels.ladder_matvec(0.5, 0.5, 0.25, np.zeros((0, width))).shape == (0, width)
 
 
 @pytest.mark.parametrize("spec", standard_grid(), ids=STANDARD_IDS)
@@ -78,8 +89,8 @@ def test_ladder_witness_equals_the_row_by_row_maximum(spec):
     p = abgx(spec)
     for i_max in (1, 30):  # a stack of one row, and the standard depth
         grid = grid_recurrence(p, i_max)
-        errs = [np.abs(kernels.ladder_matvec(p.alpha, p.beta, p.nu, grid.rows[i],
-                                             grid.n_max + 1) - grid.rows[i + 1]).max()
+        errs = [np.abs(kernels.ladder_matvec(p.alpha, p.beta, p.nu, grid.rows[i])
+                       - grid.rows[i + 1]).max()
                 for i in range(i_max)]
         assert ladder_verify(spec, i_max=i_max).witness_max_err == max(errs)
 
@@ -95,9 +106,10 @@ def test_cancelling_channel_at_the_hard_cap():
     assert new.sum(axis=1).max() <= 1.0 + 1e-14
     v = new[60]
     for out_len in (HARD_CAP + 1, 2 * HARD_CAP):
+        w = fit(v, out_len)
         np.testing.assert_allclose(
-            kernels.ladder_matvec(p.alpha, p.beta, p.nu, v, out_len),
-            kernel_reference.ladder_matvec(p.alpha, p.beta, p.nu, v, out_len),
+            kernels.ladder_matvec(p.alpha, p.beta, p.nu, w),
+            kernel_reference.ladder_matvec(p.alpha, p.beta, p.nu, w),
             rtol=0, atol=ATOL)
 
 
@@ -108,19 +120,19 @@ def test_zero_beta():
     v = np.array([0.5, 0.25, 0.25])
     for out_len in (2, 3, 5):
         np.testing.assert_array_equal(
-            kernels.ladder_matvec(0.4, 0.0, 0.6, v, out_len),
-            kernel_reference.ladder_matvec(0.4, 0.0, 0.6, v, out_len))
+            kernels.ladder_matvec(0.4, 0.0, 0.6, fit(v, out_len)),
+            kernel_reference.ladder_matvec(0.4, 0.0, 0.6, fit(v, out_len)))
 
 
 def test_ladder_matvec_accepts_readonly_input():
-    v = np.array([0.5, 0.5])
+    v = np.array([0.5, 0.5, 0.0, 0.0])
     v.setflags(write=False)
-    out = kernels.ladder_matvec(0.5, 0.0, 0.5, v, 4)
+    out = kernels.ladder_matvec(0.5, 0.0, 0.5, v)
     np.testing.assert_allclose(out, [0.25, 0.5, 0.25, 0.0], rtol=0, atol=0)
-    out = kernels.ladder_matvec(0.5, 0.5, 0.25, v, 4)
-    np.testing.assert_array_equal(v, [0.5, 0.5])
+    out = kernels.ladder_matvec(0.5, 0.5, 0.25, v)
+    np.testing.assert_array_equal(v, [0.5, 0.5, 0.0, 0.0])
     np.testing.assert_allclose(
-        out, kernel_reference.ladder_matvec(0.5, 0.5, 0.25, v, 4), rtol=0, atol=ATOL)
+        out, kernel_reference.ladder_matvec(0.5, 0.5, 0.25, v), rtol=0, atol=ATOL)
 
 
 def test_python_kernel_matches_closed_form():

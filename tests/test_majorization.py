@@ -248,14 +248,14 @@ def test_ladder_consistency_up_to_fifty():
 def test_convex_power_combination_has_unit_columns():
     params = abgx(make_channel("amp", g=2.0, thermal_N=0.5))
     coeffs = np.array([0.2, 0.3, 0.1, 0.25, 0.15])
-    # out_len large enough that the band of every power fits
+    # 800 levels: enough that the band of every power fits
     for col in (0, 5, 17):
         # column col of sum_i coeffs[i] * D**i, by powers of D on a basis vector
         v = np.zeros(800)
         v[col] = 1.0
         column = coeffs[0] * v
         for c in coeffs[1:]:
-            v = ladder_matvec(params.alpha, params.beta, params.nu, v, 800)
+            v = ladder_matvec(params.alpha, params.beta, params.nu, v)
             column = column + c * v
         assert abs(column.sum() - 1.0) <= 1e-12
         assert column.min() >= -1e-15
