@@ -75,8 +75,20 @@ class LadderReport:
         }
 
 
+def _ensure_grid(spec, i_need, grid, tail_tol=DEFAULT_TAIL_TOL) -> TransitionGrid:
+    """The supplied grid, which must be the channel's and hold input levels
+    0..i_need, or a new adaptive grid of rows 0..i_need."""
+    if grid is None:
+        return grid_recurrence(abgx(spec), i_need, tail_tol)
+    require(grid.params == abgx(spec), "grid.params", grid.params,
+            "the parameters of the channel checked")
+    require(grid.i_max >= i_need, "grid.i_max", grid.i_max, f"grid.i_max >= {i_need}")
+    return grid
+
+
 def ladder_verify(spec: ChannelSpec, i_max: int = 30, tol: float = 1e-12,
-                  tail_tol: float = 1e-10) -> LadderReport:
+                  tail_tol: float = 1e-10,
+                  grid: Optional[TransitionGrid] = None) -> LadderReport:
     """Check that each output row majorizes the next one, for Fock inputs
     0..i_max, and cross-check each step through the ladder matrix.
 
@@ -85,18 +97,21 @@ def ladder_verify(spec: ChannelSpec, i_max: int = 30, tol: float = 1e-12,
     all i_max steps, decided in one decide call, exactly as compare_stack
     would decide rows[:-1] against rows[1:]. The prefix sums are released
     before one ladder_matvec over the stack of rows 0..i_max-1 witnesses
-    every step. Raises DomainError unless 1 <= i_max <= HARD_CAP and tol is
-    finite (tail_tol as grid_recurrence)."""
+    every step. The rows are those of grid when one is supplied (rows
+    0..i_max of it; tail_tol then plays no part), else of a new adaptive
+    grid. Raises DomainError unless 1 <= i_max <= HARD_CAP, tol is finite
+    and the grid is the channel's with grid.i_max >= i_max (tail_tol as
+    grid_recurrence)."""
     i_max = check_index("i_max", i_max, 1)
     check_real("tol", tol, "a finite tolerance")
-    params = abgx(spec)
-    grid = grid_recurrence(params, i_max, tail_tol)
-    prefix = prefix_sums(grid.rows, grid.tails, sort=True, name="t")
-    steps = decide(prefix[:-1] - prefix[1:], tol, grid.tails[:-1], grid.tails[1:])
+    grid = _ensure_grid(spec, i_max, grid, tail_tol)
+    params, rows, tails = grid.params, grid.rows[:i_max + 1], grid.tails[:i_max + 1]
+    prefix = prefix_sums(rows, tails, sort=True, name="t")
+    steps = decide(prefix[:-1] - prefix[1:], tol, tails[:-1], tails[1:])
     del prefix
     verdicts = tuple(steps.verdict(i) for i in range(i_max))
-    image = ladder_matvec(params.alpha, params.beta, params.nu, grid.rows[:-1])
-    image -= grid.rows[1:]
+    image = ladder_matvec(params.alpha, params.beta, params.nu, rows[:-1])
+    image -= rows[1:]
     witness_err = float(np.abs(image, out=image).max())
     passed = all(v.holds_left for v in verdicts) and witness_err <= tol
     return LadderReport(channel=spec, i_max=i_max, verdicts=verdicts,
@@ -116,17 +131,6 @@ def _output_of_weights(grid: TransitionGrid, W,
     W = np.asarray(W, dtype=np.float64)
     levels = slice(offset, offset + W.shape[-1])
     return W @ grid.rows[levels], W @ grid.tails[levels]
-
-
-def _ensure_grid(spec, i_need, grid) -> TransitionGrid:
-    """The supplied grid, which must be the channel's and hold input levels
-    0..i_need, or a new adaptive grid of rows 0..i_need."""
-    if grid is None:
-        return grid_recurrence(abgx(spec), i_need, DEFAULT_TAIL_TOL)
-    require(grid.params == abgx(spec), "grid.params", grid.params,
-            "the parameters of the channel checked")
-    require(grid.i_max >= i_need, "grid.i_max", grid.i_max, f"grid.i_max >= {i_need}")
-    return grid
 
 
 def mixture_checks(spec: ChannelSpec, mode: str, draws, tol: float = 1e-12,

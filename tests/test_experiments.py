@@ -47,6 +47,34 @@ def test_ladder_steps_match_one_pair_comparisons(spec):
     assert report.worst_slack == min(v.left_slack for v in steps)
 
 
+@pytest.mark.parametrize("spec", standard_grid(), ids=lambda s: s.label())
+def test_ladder_on_a_supplied_grid_equals_the_default_path(spec):
+    grid = grid_recurrence(abgx(spec), 30)
+    assert repr(ladder_verify(spec, i_max=30, grid=grid)) == repr(ladder_verify(spec, i_max=30))
+
+
+def test_ladder_decides_the_first_rows_of_a_larger_grid():
+    spec = make_channel("conj", g=2.0, thermal_N=1.0)
+    grid = grid_recurrence(abgx(spec), 30)
+    report = ladder_verify(spec, i_max=12, grid=grid)
+    steps = [majorize_compare(FockDiagonalState.from_grid_row(grid, i),
+                              FockDiagonalState.from_grid_row(grid, i + 1), 1e-12)
+             for i in range(12)]
+    assert report.i_max == 12 and report.passed
+    assert (repr([v.to_json_dict() for v in report.verdicts])
+            == repr([v.to_json_dict() for v in steps]))
+
+
+def test_ladder_rejects_a_foreign_or_short_grid():
+    spec = make_channel("amp", g=2.0, thermal_N=0.5)
+    wrong = grid_recurrence(abgx(make_channel("lossy", eta=0.5, thermal_N=0.0)), 30)
+    with pytest.raises(DomainError, match="grid.params"):
+        ladder_verify(spec, i_max=10, grid=wrong)
+    short = grid_recurrence(abgx(spec), 9)
+    with pytest.raises(DomainError, match="grid.i_max=9"):
+        ladder_verify(spec, i_max=10, grid=short)
+
+
 def test_ladder_conjugate_amplifier():
     report = ladder_verify(make_channel("conj", g=2.0, thermal_N=1.0), i_max=30)
     assert report.passed

@@ -113,6 +113,78 @@ def test_cancelling_channel_at_the_hard_cap():
             rtol=0, atol=ATOL)
 
 
+def chunk_length(beta, n):
+    """The length of the chunks the scan splits n entries into."""
+    return len(kernels._scales(beta, n)[1])
+
+
+@pytest.mark.parametrize("spec", [make_channel("noise", added_n=1.0),
+                                  make_channel("amp", g=5.0, thermal_N=0.8)],
+                         ids=["beta-0.5", "beta-0.9"])
+def test_multi_chunk_rows_match_reference(spec):
+    p = abgx(spec)
+    width = HARD_CAP + 1
+    assert chunk_length(p.beta, width) < width // 4  # many whole chunks and a tail
+    new = kernels.recurrence_grid(p.alpha, p.beta, p.gamma, p.chi, 6, HARD_CAP)
+    ref = kernel_reference.recurrence_grid(p.alpha, p.beta, p.gamma, p.chi, 6, HARD_CAP)
+    np.testing.assert_allclose(new, ref, rtol=0, atol=ATOL)
+    v = np.random.default_rng(1).dirichlet(np.ones(width))
+    np.testing.assert_allclose(kernels.ladder_matvec(p.alpha, p.beta, p.nu, v),
+                               kernel_reference.ladder_matvec(p.alpha, p.beta, p.nu, v),
+                               rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("beta", [1e-200, 5e-324], ids=["1e-200", "subnormal"])
+def test_tiny_beta_at_the_hard_cap(beta):
+    # one-entry chunks: beta**-1 is out of range, so the scan is the doubling
+    # scan alone; a RuntimeWarning (an error under pytest) would mean it was not
+    assert chunk_length(beta, HARD_CAP + 1) == 1
+    new = kernels.recurrence_grid(0.4, beta, 0.6, 1.0, 4, HARD_CAP)
+    ref = kernel_reference.recurrence_grid(0.4, beta, 0.6, 1.0, 4, HARD_CAP)
+    np.testing.assert_allclose(new, ref, rtol=0, atol=ATOL)
+    v = np.random.default_rng(2).dirichlet(np.ones(HARD_CAP + 1))
+    np.testing.assert_allclose(kernels.ladder_matvec(0.4, beta, 0.6, v),
+                               kernel_reference.ladder_matvec(0.4, beta, 0.6, v),
+                               rtol=0, atol=ATOL)
+
+
+def test_steep_cancelling_channel_at_the_hard_cap():
+    # beta = 0.999 and gamma < 0: one chunk spans the whole row, whose
+    # scaled entries reach beta**-20000, about 5e8
+    p = abgx(make_channel("noise", added_n=999.0))
+    assert p.beta == 0.999 and p.gamma < 0
+    assert chunk_length(p.beta, HARD_CAP + 1) > HARD_CAP + 1
+    new = kernels.recurrence_grid(p.alpha, p.beta, p.gamma, p.chi, 8, HARD_CAP)
+    ref = kernel_reference.recurrence_grid(p.alpha, p.beta, p.gamma, p.chi, 8, HARD_CAP)
+    np.testing.assert_allclose(new, ref, rtol=0, atol=ATOL)
+    assert new.sum(axis=1).max() <= 1.0 + 1e-14
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.9])
+def test_stacks_of_rows_not_a_multiple_of_the_chunk(beta):
+    L = chunk_length(beta, HARD_CAP)
+    rng = np.random.default_rng(3)
+    for width in (L - 1, L + 1, 3 * L + 7):
+        assert chunk_length(beta, width) == min(L, width + 1)
+        stack = rng.dirichlet(np.ones(width), size=4)
+        np.testing.assert_array_equal(scan(beta, stack), [scan(beta, row) for row in stack])
+        np.testing.assert_array_equal(
+            kernels.ladder_matvec(0.3, beta, 0.2, stack),
+            [kernels.ladder_matvec(0.3, beta, 0.2, row) for row in stack])
+
+
+@pytest.mark.parametrize("beta, shape", [(5e-324, (40,)), (0.0, (3, 40)), (0.5, (40,)),
+                                         (0.5, (3, 2000)), (0.999, (2, 2000)),
+                                         (0.5, (0, 2000))])
+def test_scan_returns_its_input(beta, shape):
+    y = np.random.default_rng(4).random(shape)
+    # the reference matvec with alpha 0 and nu 1 scans its input shifted down by one
+    expect = np.array([kernel_reference.ladder_matvec(0.0, beta, 1.0, np.append(row, 0.0))[1:]
+                       for row in y.reshape(-1, shape[-1])]).reshape(shape)
+    assert kernels._scan_in_place(beta, y) is y
+    np.testing.assert_allclose(y, expect, rtol=1e-12, atol=0)
+
+
 def test_zero_beta():
     grid = kernels.recurrence_grid(0.4, 0.0, 0.6, 1.0, 4, 6)
     np.testing.assert_array_equal(
