@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Every library operation is reachable from exactly one subcommand (see
-OPERATIONS). Output is JSON (floats with 17 significant digits); params,
-grid, dmat (export), entropy and suite also print CSV with --format csv.
+Every library operation is reachable from exactly one subcommand. Output
+is JSON (floats with 17 significant digits); params, grid, dmat (export),
+entropy and suite also print CSV with --format csv.
 Only conjecture takes --seed. Exit status: 0 on success, 1 when a
 verification fails (e.g. a majorization violation), 2 on usage or domain
 errors.
@@ -24,26 +24,12 @@ from .channel import abgx, make_channel, noise_limit_params, validate_params
 from .errors import DomainError, NormalizationError, TruncationError, WitnessError, require
 from .experiments import (conjecture_scan, ladder_verify, mixture_shift_check,
                           mixture_vs_lowest_fock, DEFAULT_SEED)
-from .majorization import (FockDiagonalState, apply_D_power, build_D,
+from .majorization import (DEFAULT_TOL, FockDiagonalState, apply_D_power, build_D,
                            check_column_stochastic, fock_compare,
                            majorize_compare)
 from .suite import CRITERIA
-from .transition import (analytic_special, grid_recurrence, row_multinomial,
-                         row_series)
-
-# Canonical subcommand for each library operation (coverage-tested).
-OPERATIONS = {
-    "params": ("make_channel", "abgx", "validate_params"),
-    "grid": ("grid_recurrence", "row_multinomial", "row_series", "analytic_special"),
-    "dmat": ("build_D", "check_column_stochastic", "apply_D_power"),
-    "majorize": ("majorize_compare", "fock_compare"),
-    "ladder": ("ladder_verify",),
-    "entropy": ("shannon", "renyi", "chain_check"),
-    "mixture": ("mixture_shift_check", "mixture_vs_lowest_fock"),
-    "conjecture": ("conjecture_scan",),
-    "limit": ("noise_limit_params",),
-    "suite": ("counterexample_search",),
-}
+from .transition import (DEFAULT_TAIL_TOL, analytic_special, grid_recurrence,
+                         row_multinomial, row_series)
 
 
 def _emit_json(obj) -> str:
@@ -135,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("grid", help="output distributions for Fock inputs")
     _add_channel_flags(p)
     p.add_argument("--imax", type=int, default=10)
-    p.add_argument("--tail-tol", type=float, default=1e-10)
+    p.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL)
     p.add_argument("--nmax", type=int, help="fixed cutoff (skips adaptation)")
     p.add_argument("--oracle", choices=("recurrence", "multinomial", "series",
                                         "special"), default="recurrence")
@@ -149,11 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="column-stochasticity report")
     p.add_argument("--power", type=int,
                    help="apply this matrix power to a JSON vector from stdin")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_io_flags(p, csv=True)
 
     p = subs.add_parser("majorize", help="compare two distributions from stdin")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--unordered", action="store_true",
                    help="prefix sums in Fock order (no sorting)")
     _add_io_flags(p, csv=False)
@@ -161,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("ladder", help="verify the output majorization ladder")
     _add_channel_flags(p)
     p.add_argument("--imax", type=int, default=30)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--tail-tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL)
     _add_io_flags(p, csv=False)
 
     p = subs.add_parser("entropy", help="entropy chain over Fock inputs")
@@ -171,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", default="shannon",
                    help="'shannon', a nonnegative float, or 'inf'")
     p.add_argument("--bits", action="store_true", help="report in bits, not nats")
-    p.add_argument("--tail-tol", type=float, default=1e-10)
+    p.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL)
     _add_io_flags(p, csv=True)
 
     p = subs.add_parser("mixture", help="mixture dominance checks")
@@ -179,13 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True, help="comma-separated mixture weights")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--mode", choices=("shift", "lowest"), default="shift")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_io_flags(p, csv=False)
 
     p = subs.add_parser("conjecture", help="passive-path scan over binary patterns")
     _add_channel_flags(p)
     p.add_argument("--length", type=int, default=6)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--nonbinary", type=int, default=0,
                    help="also sample this many non-binary patterns (reported only)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -292,6 +278,7 @@ def _cmd_ladder(args) -> int:
 def _cmd_entropy(args) -> int:
     order = None if args.order == "shannon" else _parse(
         "order", args.order, float, "'shannon', a number >= 0 or 'inf'")
+    entropy_mod.check_order(order)
     grid = grid_recurrence(abgx(_spec_from_args(args)), args.imax, args.tail_tol)
     report = entropy_mod.chain_check(grid, order)
     if args.bits:

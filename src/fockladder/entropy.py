@@ -20,11 +20,18 @@ ZERO_FLOOR = 1e-300
 CHAIN_TOL = 1e-12
 
 
+def check_order(order) -> None:
+    """Raise DomainError unless order is None (Shannon), a number >= 0 or
+    inf: the domain of every entropy order."""
+    if order is not None:
+        check_real("order", order, "order >= 0 or inf", lambda x: x >= 0.0, finite=False)
+
+
 def _entropy(weights: np.ndarray, order: float | None) -> float:
     """Shannon (order None or 1) or Renyi entropy of the weights; the one
     implementation behind shannon, renyi and chain_check, which validate
-    the order. Weights with none above ZERO_FLOOR (all mass in the tail)
-    have no entropy and are out of domain."""
+    the order with check_order. Weights with none above ZERO_FLOOR (all
+    mass in the tail) have no entropy and are out of domain."""
     w = weights[weights > ZERO_FLOOR]
     require(w.size > 0, "weights", weights, f"at least one weight above {ZERO_FLOOR:g}")
     if order is None or order == 1:
@@ -52,8 +59,7 @@ def renyi(p: FockDiagonalState, order: float) -> float:
     order=1 gives the Shannon entropy, order=0 the log support size,
     order=inf -ln(max p). Negative and NaN orders are out of domain.
     """
-    if order is not None:
-        check_real("order", order, "order >= 0 or inf", lambda x: x >= 0.0, finite=False)
+    check_order(order)
     return _entropy(p.weights, order)
 
 
@@ -102,8 +108,7 @@ def chain_check(grid: TransitionGrid, order: float | None = None) -> EntropyChai
     """Entropy of each grid row, asserting S_i <= S_{i+1} within 1e-12.
     Each value is computed on the grid row itself, as shannon or renyi
     computes it on a state holding that row."""
-    if order is not None:
-        check_real("order", order, "order >= 0 or inf", lambda x: x >= 0.0, finite=False)
+    check_order(order)
     values = np.array([_entropy(row, order) for row in grid.rows])
     if len(values) > 1:
         worst = float((values[:-1] - values[1:]).max())

@@ -18,10 +18,11 @@ from typing import Optional
 import numpy as np
 
 from .channel import ChannelSpec, Family, abgx, make_channel
-from .errors import WitnessError, check_index, check_real, require
+from .errors import WitnessError, check_index, require
 from .kernels import ladder_matvec
-from .majorization import (RELATIONS, FockDiagonalState, MajorizationVerdict, VerdictStack,
-                           check_coefficients, compare_stack, decide, prefix_sums)
+from .majorization import (DEFAULT_TOL, RELATIONS, FockDiagonalState, MajorizationVerdict,
+                           VerdictStack, check_coefficients, check_tol, compare_stack, decide,
+                           holds_left, prefix_sums)
 from .transition import DEFAULT_TAIL_TOL, TransitionGrid, grid_recurrence
 
 DEFAULT_SEED = 20240
@@ -86,8 +87,8 @@ def _ensure_grid(spec, i_need, grid, tail_tol=DEFAULT_TAIL_TOL) -> TransitionGri
     return grid
 
 
-def ladder_verify(spec: ChannelSpec, i_max: int = 30, tol: float = 1e-12,
-                  tail_tol: float = 1e-10,
+def ladder_verify(spec: ChannelSpec, i_max: int = 30, tol: float = DEFAULT_TOL,
+                  tail_tol: float = DEFAULT_TAIL_TOL,
                   grid: Optional[TransitionGrid] = None) -> LadderReport:
     """Check that each output row majorizes the next one, for Fock inputs
     0..i_max, and cross-check each step through the ladder matrix.
@@ -99,11 +100,11 @@ def ladder_verify(spec: ChannelSpec, i_max: int = 30, tol: float = 1e-12,
     before one ladder_matvec over the stack of rows 0..i_max-1 witnesses
     every step. The rows are those of grid when one is supplied (rows
     0..i_max of it; tail_tol then plays no part), else of a new adaptive
-    grid. Raises DomainError unless 1 <= i_max <= HARD_CAP, tol is finite
-    and the grid is the channel's with grid.i_max >= i_max (tail_tol as
-    grid_recurrence)."""
+    grid. Raises DomainError unless 1 <= i_max <= HARD_CAP, check_tol
+    accepts tol and the grid is the channel's with grid.i_max >= i_max
+    (tail_tol as grid_recurrence)."""
     i_max = check_index("i_max", i_max, 1)
-    check_real("tol", tol, "a finite tolerance")
+    check_tol(tol)
     grid = _ensure_grid(spec, i_max, grid, tail_tol)
     params, rows, tails = grid.params, grid.rows[:i_max + 1], grid.tails[:i_max + 1]
     prefix = prefix_sums(rows, tails, sort=True, name="t")
@@ -133,7 +134,7 @@ def _output_of_weights(grid: TransitionGrid, W,
     return W @ grid.rows[levels], W @ grid.tails[levels]
 
 
-def mixture_checks(spec: ChannelSpec, mode: str, draws, tol: float = 1e-12,
+def mixture_checks(spec: ChannelSpec, mode: str, draws, tol: float = DEFAULT_TOL,
                    grid: Optional[TransitionGrid] = None) -> VerdictStack:
     """One mixture check per draw (coeffs, k); row r of the returned stack is
     draw r's verdict, left output against right.
@@ -146,14 +147,15 @@ def mixture_checks(spec: ChannelSpec, mode: str, draws, tol: float = 1e-12,
     and each degree of D is one ladder_matvec over the R left outputs.
     Raises WitnessError naming the first draw that deviates beyond tol,
     DomainError for an unknown mode or no draws, and as check_index,
-    check_coefficients and compare_stack for the other arguments.
+    check_coefficients and check_tol for the other arguments, all before
+    any grid is built.
     """
     require(mode in ("shift", "lowest"), "mode", mode, "'shift' or 'lowest'")
     draws = [(check_index("k", k), check_coefficients(c)) for c, k in draws]
     require(len(draws) > 0, "draws", draws, "at least one (coeffs, k) draw")
     top = check_index("k + len(coeffs) - 1", max(k + len(c) - 1 for k, c in draws))
+    check_tol(tol)
     grid = _ensure_grid(spec, top, grid)
-    check_real("tol", tol, "a finite tolerance")
     R, shift = len(draws), mode == "shift"
     low = 0 if shift else min(k for k, _ in draws)
     W = np.zeros((2 * R, top + 1 - low))
@@ -183,14 +185,14 @@ def mixture_checks(spec: ChannelSpec, mode: str, draws, tol: float = 1e-12,
     return verdicts
 
 
-def mixture_shift_check(spec: ChannelSpec, coeffs, k: int, tol: float = 1e-12,
+def mixture_shift_check(spec: ChannelSpec, coeffs, k: int, tol: float = DEFAULT_TOL,
                         grid: Optional[TransitionGrid] = None) -> MajorizationVerdict:
     """Output of a Fock mixture against the output of the same mixture
     shifted up by k levels, witnessed through D**k: one mixture_checks row."""
     return mixture_checks(spec, "shift", [(coeffs, k)], tol, grid).verdict(0)
 
 
-def mixture_vs_lowest_fock(spec: ChannelSpec, coeffs, k: int, tol: float = 1e-12,
+def mixture_vs_lowest_fock(spec: ChannelSpec, coeffs, k: int, tol: float = DEFAULT_TOL,
                            grid: Optional[TransitionGrid] = None) -> MajorizationVerdict:
     """Output of Fock state k against that of a mixture whose lowest component
     is k, witnessed through sum_j coeffs[j] D**j: one mixture_checks row."""
@@ -451,7 +453,7 @@ class ConjectureReport:
         }
 
 
-def conjecture_scan(spec: ChannelSpec, length: int, tol: float = 1e-12,
+def conjecture_scan(spec: ChannelSpec, length: int, tol: float = DEFAULT_TOL,
                     nonbinary_samples: int = 0, seed: int = DEFAULT_SEED,
                     grid: Optional[TransitionGrid] = None) -> ConjectureReport:
     """Exhaustively test, over binary patterns of the given length, that
@@ -469,9 +471,11 @@ def conjecture_scan(spec: ChannelSpec, length: int, tol: float = 1e-12,
     builds every pattern's output from its parent's with one row added,
     and decides every distinct compared pair in a few wide spans of whole
     groups of patterns with the same number of ones (see _decide_plan).
+    Raises DomainError, before any grid is built, unless 2 <= length <= 16,
+    check_tol accepts tol and nonbinary_samples and seed are indices.
     """
     length = check_index("length", length, 2, MAX_SCAN_LENGTH)
-    check_real("tol", tol, "a finite tolerance")
+    check_tol(tol)
     nonbinary_samples = check_index("nonbinary_samples", nonbinary_samples)
     seed = check_index("seed", seed, 0, math.inf)
     grid = _ensure_grid(spec, length - 1, grid)
@@ -483,7 +487,7 @@ def conjecture_scan(spec: ChannelSpec, length: int, tol: float = 1e-12,
         r = plan.compared[c]
         events.append(((c, 0), {"check": "path-energy", "pattern": _label(plan.bits[r]),
                                 "next": _label(plan.bits[plan.next_row[r]])}))
-    for c in np.flatnonzero(relation[plan.compared] > 1):
+    for c in np.flatnonzero(~holds_left(relation[plan.compared])):
         r = plan.compared[c]
         found = {"check": "swap" if c < plan.n_swap else "path",
                  "pattern": _label(plan.bits[r])}
@@ -616,7 +620,7 @@ class FindingsReport:
 
 
 def counterexample_search(spec: ChannelSpec, corpus: list[CorpusPair],
-                          tol: float = 1e-12,
+                          tol: float = DEFAULT_TOL,
                           grid: Optional[TransitionGrid] = None) -> FindingsReport:
     """Push every corpus pair through the channel.
 
@@ -627,9 +631,11 @@ def counterexample_search(spec: ChannelSpec, corpus: list[CorpusPair],
     Pairs whose energy ordering could be explained by truncated tail mass
     are skipped, not guessed. An input's tail mass is carried into its
     output's tail. All outputs come from one matrix product, and each kind
-    of pair is decided in one compare_stack call.
+    of pair is decided in one compare_stack call. Raises DomainError for an
+    empty corpus or a tol that check_tol rejects, before any grid is built.
     """
     require(len(corpus) > 0, "corpus", corpus, "at least one pair")
+    check_tol(tol)
     levels = max(len(s.weights) for p in corpus for s in (p.rho, p.sigma))
     grid = _ensure_grid(spec, levels - 1, grid)
     W = np.zeros((2, len(corpus), levels))
@@ -653,7 +659,7 @@ def counterexample_search(spec: ChannelSpec, corpus: list[CorpusPair],
 
     v = compare_stack(out[0, energy], out[1, energy], tails[0, energy], tails[1, energy], tol)
     witnesses = []
-    for r in np.flatnonzero(v.codes >= 2):  # the left direction fails
+    for r in np.flatnonzero(~holds_left(v.codes)):
         found = v.verdict(r)
         witnesses.append({"label": corpus[energy[r]].label,
                           "relation": found.relation.value,
@@ -666,4 +672,4 @@ def counterexample_search(spec: ChannelSpec, corpus: list[CorpusPair],
         n_skipped=len(corpus) - len(energy) - len(fock),
         energy_witnesses=tuple(witnesses),
         fock_worst_slack=float(f.left_slack.min()) if fock else 0.0,
-        fock_ok=bool((f.codes < 2).all()))
+        fock_ok=bool(holds_left(f.codes).all()))

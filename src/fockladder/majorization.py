@@ -25,7 +25,15 @@ from .errors import (HARD_CAP, NormalizationError, check_array, check_index,
 from .kernels import ladder_matvec
 
 NORMALIZATION_TOL = 1e-12
-DEFAULT_TOL = 1e-12
+DEFAULT_TOL = 1e-12  # the verdict tolerance of every check that takes a tol
+
+
+def check_tol(tol) -> float:
+    """tol as a float: any finite number. A NaN or infinite tol would decide
+    every pair vacuously; a finite negative tol is legal and only tightens
+    the test. Every entry point that takes a tol calls this before it
+    builds a grid or compares anything."""
+    return check_real("tol", tol, "a finite tolerance")
 
 
 @dataclass(frozen=True)
@@ -129,10 +137,19 @@ class MajorizationVerdict:
 
 
 # Relation codes used by the batched engine: 2 * (left fails) + (right fails),
-# looked up in _CODES by [left holds, right holds].
+# looked up in _CODES by [left holds, right holds]. Only this module reads
+# the encoding: callers test a code with holds_left and label it through
+# RELATIONS.
 RELATIONS = (Relation.EQUIVALENT, Relation.LEFT_MAJORIZES,
              Relation.RIGHT_MAJORIZES, Relation.INCOMPARABLE)
 _CODES = np.array([[3, 2], [1, 0]], dtype=np.int8)
+
+
+def holds_left(codes):
+    """Per relation code, whether the left side majorizes the right (the
+    relation is left_majorizes or equivalent), as MajorizationVerdict.holds_left
+    says of one verdict. Works on one code or an array of them."""
+    return codes < 2
 
 
 @dataclass(frozen=True)
@@ -196,9 +213,8 @@ def decide(margins: np.ndarray, tol: float, p_tails: np.ndarray,
            q_tails: np.ndarray) -> VerdictStack:
     """Verdicts from prefix margins (left minus right prefix sums), one row
     per pair, each row against its own effective tolerance tol + p_tail +
-    q_tail. tol is taken as validated: every entry point checks it once
-    (a NaN or infinite tol would decide every pair vacuously; a finite
-    negative tol is legal and only tightens the test).
+    q_tail. tol is taken as validated: every entry point checks it once,
+    with check_tol.
 
     worst_slack is the most negative margin along the direction that
     decided the verdict; equivalent pairs report the smaller of the two
@@ -231,7 +247,7 @@ def compare_stack(P: np.ndarray, Q: np.ndarray, p_tails: np.ndarray,
     is not a finite distribution within 1e-12, and DomainError if tol is
     NaN or infinite.
     """
-    check_real("tol", tol, "a finite tolerance")
+    check_tol(tol)
     margins = prefix_sums(P, p_tails, sort, "p") - prefix_sums(Q, q_tails, sort, "q")
     return decide(margins, tol, p_tails, q_tails)
 
@@ -350,7 +366,7 @@ def check_column_stochastic(D: LadderMatrix, tol: float = DEFAULT_TOL) -> Stocha
     sums, identical accumulation order to per-column summation). Raises
     DomainError if tol is NaN or infinite.
     """
-    check_real("tol", tol, "a finite tolerance")
+    check_tol(tol)
     alpha, beta, nu, dim = D.alpha, D.beta, D.nu, D.dim
     band = D.band()
     # prefix[t] = alpha + sum of the first t band entries below the diagonal

@@ -22,7 +22,7 @@ from .experiments import (BinaryPattern, conjecture_scan, counterexample_search,
                           passive_path, standard_grid, DEFAULT_SEED)
 from .kernels import ladder_matvec
 from .majorization import (RELATIONS, FockDiagonalState, build_D,
-                           check_column_stochastic, compare_stack, mix)
+                           check_column_stochastic, compare_stack, holds_left, mix)
 from .transition import (analytic_special, grid_recurrence, row_multinomial,
                          series_rectangle)
 
@@ -53,7 +53,7 @@ def criterion_1_ladder() -> CriterionResult:
     failed = []
     specs = standard_grid()
     for spec in specs:
-        report = ladder_verify(spec, i_max=30, tol=1e-12, tail_tol=1e-10)
+        report = ladder_verify(spec, i_max=30)
         worst = min(worst, report.worst_slack)
         if not report.passed:
             failed.append(spec.label())
@@ -70,7 +70,7 @@ def criterion_2_oracle_triangle() -> CriterionResult:
     dev_rs = dev_rm = dev_sm = 0.0
     for spec in standard_grid():
         params = abgx(spec)
-        grid = grid_recurrence(params, 40, 1e-10)
+        grid = grid_recurrence(params, 40)
         rect = series_rectangle(params, 40, grid.n_max)
         dev_rs = max(dev_rs, float(np.abs(grid.rows - rect).max()))
         n_win = min(grid.n_max, MULTINOMIAL_WINDOW)
@@ -94,7 +94,7 @@ def criterion_3_special_cases() -> CriterionResult:
     n_laws = 0
     for spec in standard_grid():
         params = abgx(spec)
-        grid = grid_recurrence(params, 40, 1e-10)
+        grid = grid_recurrence(params, 40)
         for i in range(41):
             law = analytic_special(spec, i, grid.n_max)
             if law is None:
@@ -114,13 +114,13 @@ def criterion_4_stochastic_witness() -> CriterionResult:
     step_err = power_err = 0.0
     for spec in standard_grid():
         params = abgx(spec)
-        rep = check_column_stochastic(build_D(params, 200), 1e-12)
+        rep = check_column_stochastic(build_D(params, 200))
         ok = ok and rep.ok
         min_entry = min(min_entry, rep.min_entry)
         if rep.n_interior:
             col_dev = max(col_dev, rep.max_interior_col_dev)
         row_max = max(row_max, rep.max_row_sum)
-        grid = grid_recurrence(params, 30, 1e-10)
+        grid = grid_recurrence(params, 30)
         image = ladder_matvec(params.alpha, params.beta, params.nu, grid.rows[:-1])
         step_err = max(step_err, float(np.abs(image - grid.rows[1:]).max()))
         # i-fold power applied to the vacuum output row must reproduce row i
@@ -143,7 +143,7 @@ def criterion_5_trace_preservation() -> CriterionResult:
     worst_tail = 0.0
     worst_residual = 0.0
     for spec in standard_grid():
-        grid = grid_recurrence(abgx(spec), 30, 1e-10)
+        grid = grid_recurrence(abgx(spec), 30)
         for i in range(31):
             total = math.fsum(grid.rows[i])
             worst_residual = max(worst_residual, abs(total + grid.tails[i] - 1.0))
@@ -157,7 +157,7 @@ def criterion_6_entropy_chain() -> CriterionResult:
     t0 = time.perf_counter()
     worst = -math.inf
     for spec in standard_grid():
-        grid = grid_recurrence(abgx(spec), 30, 1e-10)
+        grid = grid_recurrence(abgx(spec), 30)
         for order in (None, 0.5, 2.0, math.inf):
             rep = chain_check(grid, order)
             worst = max(worst, rep.worst_violation)
@@ -194,7 +194,7 @@ def criterion_8_mixture_properties() -> CriterionResult:
     t0 = time.perf_counter()
     n_checks = 0
     for idx, spec in enumerate(standard_grid()):
-        grid = grid_recurrence(abgx(spec), 10, 1e-10)
+        grid = grid_recurrence(abgx(spec), 10)
         rng = np.random.default_rng([DEFAULT_SEED, idx])
         draws = [(rng.dirichlet(np.ones(int(rng.integers(1, 7)))), int(rng.integers(0, 6)))
                  for _ in range(100)]
@@ -204,11 +204,13 @@ def criterion_8_mixture_properties() -> CriterionResult:
         except WitnessError as exc:
             return _result("C8", "mixture properties", False,
                            f"witness identity failed on {spec.label()}: {exc}", t0)
-        for a, b in zip(shift.codes, lowest.codes):
-            if a >= 2 or b >= 2:  # a left direction fails
-                return _result("C8", "mixture properties", False,
-                               f"unexpected verdict on {spec.label()}: "
-                               f"{RELATIONS[a].value}/{RELATIONS[b].value}", t0)
+        holds = holds_left(shift.codes) & holds_left(lowest.codes)
+        if not holds.all():
+            r = int(holds.argmin())  # the first draw whose left direction fails
+            return _result("C8", "mixture properties", False,
+                           f"unexpected verdict on {spec.label()}: "
+                           f"{RELATIONS[shift.codes[r]].value}/"
+                           f"{RELATIONS[lowest.codes[r]].value}", t0)
         n_checks += 2 * len(draws)
     return _result("C8", "shifted-mixture and lowest-Fock dominance, 100 draws/channel",
                    True, f"{n_checks} seeded checks, all verdicts and witnesses ok", t0)
@@ -227,7 +229,7 @@ def criterion_9_conjecture_scan() -> CriterionResult:
     n_patterns = n_steps = n_swaps = 0
     worst = math.inf
     for spec in standard_grid():
-        grid = grid_recurrence(abgx(spec), 9, 1e-10)
+        grid = grid_recurrence(abgx(spec), 9)
         for length in range(2, 11):
             rep = conjecture_scan(spec, length, grid=grid)
             if not rep.passed:
@@ -247,7 +249,7 @@ def criterion_9_conjecture_scan() -> CriterionResult:
         tails = np.array([s.tail for s in chain])
         steps = compare_stack(weights[1:], weights[:-1], tails[1:], tails[:-1])
         for cur, nxt, code in zip(path, path[1:], steps.codes):
-            if code >= 2:  # the next output does not majorize the current one
+            if not holds_left(code):  # the next output does not majorize the current one
                 return _result("C9", "passive-path scan", False,
                                f"chain step {cur}->{nxt} gave {RELATIONS[code].value} "
                                f"on {spec.label()}", t0)

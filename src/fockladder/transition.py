@@ -46,7 +46,11 @@ from .channel import ChannelParams, ChannelSpec, Family, abgx
 from .errors import CELL_BUDGET, HARD_CAP, TruncationError, check_index, check_real, require
 from .kernels import recurrence_grid
 
-DEFAULT_TAIL_TOL = 1e-10  # two orders below the 1e-12 comparison tolerances
+# The tail tolerance of every adaptive grid built without an explicit one:
+# each row keeps at least 1 - 1e-10 of its mass. That is two orders above
+# the 1e-12 verdict tolerance (majorization.DEFAULT_TOL): in a verdict's
+# effective tolerance tol + p_tail + q_tail, a tail at this bound outweighs tol.
+DEFAULT_TAIL_TOL = 1e-10
 
 
 @dataclass(frozen=True)

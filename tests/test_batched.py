@@ -16,7 +16,7 @@ from fockladder import (BinaryPattern, DomainError, FockDiagonalState,
                         passive_path, standard_grid)
 from fockladder import experiments
 from fockladder.experiments import _scan_plan, mixture_checks
-from fockladder.majorization import compare_stack
+from fockladder.majorization import compare_stack, holds_left
 
 from prefix_reference import (prefix_margins, reference_verdict,
                               verdict_from_margins)
@@ -67,6 +67,7 @@ def test_compare_stack_matches_reference_row_by_row(stack, tol, sort):
         want = reference_verdict(p, q, tp, tq, tol, sort)
         v = got.verdict(r)
         assert (v.relation, v.worst_slack, v.at_index, v.left_slack, v.right_slack) == want
+        assert holds_left(got.codes)[r] == holds_left(got.codes[r]) == v.holds_left
         assert single(FockDiagonalState.from_weights(p, tp),
                       FockDiagonalState.from_weights(q, tq), tol) == v
 

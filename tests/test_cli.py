@@ -358,6 +358,26 @@ def test_grids_beyond_the_cell_budget_exit_2_without_filling(argv, named, capsys
     assert_exit_2_naming(*run_cli(capsys, monkeypatch, argv), named)
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["entropy", "--family", "noise", "--n", "999", "--imax", "0", "--order", "nan"],
+     "order=nan"),
+    (["mixture", "--family", "noise", "--n", "999", "--weights", "0.5,0.5", "--k", "1",
+      "--tol", "nan"], "tol=nan"),
+    (["mixture", "--family", "noise", "--n", "999", "--weights", "0.5,0.5", "--k", "1",
+      "--mode", "lowest", "--tol", "nan"], "tol=nan"),
+], ids=["entropy-order-nan", "mixture-tol-nan", "mixture-lowest-tol-nan"])
+def test_out_of_domain_tol_or_order_exits_2_before_any_fill(argv, named, capsys, monkeypatch):
+    # noise(n=999) needs more than HARD_CAP columns at i = 0: a fill before
+    # the argument check would exit 1 with "check failed: tail ..."
+    from fockladder import transition
+
+    def no_fill(*args):
+        raise AssertionError("a grid was filled before the arguments were checked")
+
+    monkeypatch.setattr(transition, "recurrence_grid", no_fill)
+    assert_exit_2_naming(*run_cli(capsys, monkeypatch, argv), named)
+
+
 @pytest.mark.parametrize("argv", [
     ["--family", "lossy", "--eta", "0.5", "--N", "0", "--row", "1100", "--nmax", "1100"],
     ["--family", "amp", "--g", "1.5", "--N", "0", "--row", "300", "--nmax", "3000"],
@@ -532,6 +552,21 @@ def test_every_declared_option_is_read(command, capsys, monkeypatch):
     assert declared - read == set()
 
 
+# Canonical subcommand for each library operation.
+OPERATIONS = {
+    "params": ("make_channel", "abgx", "validate_params"),
+    "grid": ("grid_recurrence", "row_multinomial", "row_series", "analytic_special"),
+    "dmat": ("build_D", "check_column_stochastic", "apply_D_power"),
+    "majorize": ("majorize_compare", "fock_compare"),
+    "ladder": ("ladder_verify",),
+    "entropy": ("shannon", "renyi", "chain_check"),
+    "mixture": ("mixture_shift_check", "mixture_vs_lowest_fock"),
+    "conjecture": ("conjecture_scan",),
+    "limit": ("noise_limit_params",),
+    "suite": ("counterexample_search",),
+}
+
+
 def test_every_operation_reachable_exactly_once():
     published_ops = {
         "make_channel", "abgx", "validate_params", "noise_limit_params",
@@ -541,10 +576,10 @@ def test_every_operation_reachable_exactly_once():
         "mixture_shift_check", "mixture_vs_lowest_fock", "conjecture_scan",
         "counterexample_search",
     }
-    seen = [op for ops in cli.OPERATIONS.values() for op in ops]
+    seen = [op for ops in OPERATIONS.values() for op in ops]
     assert sorted(seen) == sorted(set(seen))  # no operation mapped twice
     assert set(seen) == published_ops
-    assert set(cli.OPERATIONS) == set(cli._DISPATCH)
+    assert set(OPERATIONS) == set(cli._DISPATCH)
 
 
 def test_dispatch_covers_command_enum():
@@ -617,16 +652,31 @@ _SUBPARSERS = next(a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction)).choices
 
 
+# the strength flag of each family and values in its domain; --family
+# precedes the strength flags in _CHANNEL_FLAGS
+_STRENGTH = {"lossy": ("--eta", ["0", "0.25", "0.5", "1"]),
+             "amp": ("--g", ["1", "1.5", "2", "3"]),
+             "conj": ("--g", ["1", "1.5", "2", "3"]),
+             "noise": ("--n", ["0", "0.5", "1", "3"])}
+
+
 @st.composite
 def _invocations(draw):
     command = draw(st.sampled_from(sorted(_FLAGS)))
     required = {flag for a in _SUBPARSERS[command]._actions if a.required
                 for flag in a.option_strings}
-    argv = [command]
+    argv, family = [command], None
     for flag, values in _FLAGS[command] + _OUT_FLAG:
-        # a required flag is left out one time in eight (an argparse usage error)
-        if draw(st.integers(0, 7)) > 0 if flag in required else draw(st.booleans()):
+        # a required flag, or the strength the drawn family needs, is left out
+        # one time in eight (an argparse usage error, or a channel without its
+        # strength); any other flag one time in two
+        strength, in_domain = _STRENGTH.get(family, (None, []))
+        needed = flag in required or flag == strength
+        if flag == strength:
+            values = st.sampled_from(in_domain) | values
+        if draw(st.integers(0, 7)) > 0 if needed else draw(st.booleans()):
             value = draw(values)
+            family = value if flag == "--family" else family
             argv.append(flag if value is None else f"{flag}={value}")
     return argv, draw(_STDIN)
 

@@ -9,7 +9,7 @@ from fockladder import (BinaryPattern, DomainError, FockDiagonalState, Normaliza
                         fock_compare, grid_recurrence, ladder_verify, majorize_compare,
                         make_channel, make_counterexample_corpus, mixture_shift_check,
                         mixture_vs_lowest_fock, passive_path, standard_grid)
-from fockladder import suite
+from fockladder import suite, transition
 from fockladder.errors import WitnessError
 from fockladder.experiments import CorpusPair, _output_of_weights, mixture_checks
 
@@ -364,6 +364,24 @@ def test_output_of_weights_matches_manual_mixture():
 def test_experiment_arguments_out_of_domain(call):
     with pytest.raises(DomainError):
         call(make_channel("amp", g=2.0, thermal_N=0.5))
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: ladder_verify(s, 3, math.nan),
+    lambda s: mixture_checks(s, "shift", [([0.5, 0.5], 1)], math.nan),
+    lambda s: mixture_checks(s, "lowest", [([0.5, 0.5], 1)], math.nan),
+    lambda s: conjecture_scan(s, 3, math.nan),
+    lambda s: counterexample_search(s, make_counterexample_corpus(), math.nan),
+], ids=["ladder", "shift", "lowest", "scan", "search"])
+def test_a_non_finite_tol_is_rejected_before_any_grid_is_filled(call, monkeypatch):
+    # noise(n=999) needs more than HARD_CAP columns at i = 0, so a grid built
+    # before the tol check would end in TruncationError
+    def no_fill(*args):
+        raise AssertionError("a grid was filled before tol was checked")
+
+    monkeypatch.setattr(transition, "recurrence_grid", no_fill)
+    with pytest.raises(DomainError, match="tol=nan"):
+        call(make_channel("noise", added_n=999.0))
 
 
 def test_pattern_strings_hold_only_bits():
