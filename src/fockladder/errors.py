@@ -10,7 +10,10 @@ import operator
 
 import numpy as np
 
-HARD_CAP = 20000  # the largest photon number, index or size the instrument holds
+# The largest index that drives a loop: an input photon number i_max, a
+# power k, a dimension, a length, and the n_max of a single-row oracle.
+# It does not bound a grid's columns; CELL_BUDGET alone bounds its size.
+HARD_CAP = 20000
 CELL_BUDGET = 2 ** 25  # the most cells, rows times columns, of one grid or rectangle (256 MiB)
 
 
@@ -25,8 +28,9 @@ class DomainError(ValueError):
 
 
 class TruncationError(RuntimeError):
-    """The photon-number cutoff needed to reach the requested tail mass
-    exceeds the configured hard cap."""
+    """An adaptive grid would pass CELL_BUDGET before every row's tail mass
+    meets the requested tail tolerance: the channel cannot be verified at
+    that size."""
 
 
 class NormalizationError(ValueError):

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import ChannelParams
+from .channel import ChannelParams, check_params
 from .errors import (HARD_CAP, NormalizationError, check_array, check_index,
                      check_real, require)
 from .kernels import ladder_matvec
@@ -74,9 +74,12 @@ class FockDiagonalState:
 
     def energy_bounds(self) -> tuple[float, float]:
         """Interval containing the true energy: tail mass sits somewhere
-        between index len(weights) and HARD_CAP, used as an upper flag."""
+        between index len(weights) and HARD_CAP, used as an upper flag. A
+        grid row may hold more than HARD_CAP levels; its flag is its length,
+        so the interval never inverts."""
         e = self.energy
-        return (e + len(self.weights) * self.tail, e + HARD_CAP * self.tail)
+        return (e + len(self.weights) * self.tail,
+                e + max(len(self.weights), HARD_CAP) * self.tail)
 
 
 def check_coefficients(coeffs) -> np.ndarray:
@@ -330,8 +333,9 @@ class LadderMatrix:
 
 
 def build_D(params: ChannelParams, dim: int) -> LadderMatrix:
-    """The ladder matrix at a given truncation, 1 <= dim <= HARD_CAP."""
-    return LadderMatrix(params=params, dim=check_index("dim", dim, 1))
+    """The ladder matrix at a given truncation, 1 <= dim <= HARD_CAP, of
+    params that check_params accepts."""
+    return LadderMatrix(params=check_params(params), dim=check_index("dim", dim, 1))
 
 
 @dataclass(frozen=True)
@@ -410,10 +414,11 @@ def apply_D_power(params: ChannelParams, k: int, v: FockDiagonalState,
     The dense power is never materialized. Entries inside the output
     window are exact images of the retained input entries (the matrix is
     lower-triangular); mass pushed past the window joins the tail. Raises
-    DomainError unless 0 <= k <= HARD_CAP and len(v.weights) <= out_len
-    <= HARD_CAP, and NormalizationError (see check_rows) unless v is a
-    finite distribution.
+    DomainError unless check_params accepts params, 0 <= k <= HARD_CAP and
+    len(v.weights) <= out_len <= HARD_CAP, and NormalizationError (see
+    check_rows) unless v is a finite distribution.
     """
+    check_params(params)
     k = check_index("k", k)
     out_len = check_index("out_len", out_len, len(v.weights))
     check_rows(v.weights[None, :], np.array([v.tail]), "v")

@@ -42,8 +42,9 @@ from itertools import accumulate, repeat
 
 import numpy as np
 
-from .channel import ChannelParams, ChannelSpec, Family, abgx
-from .errors import CELL_BUDGET, HARD_CAP, TruncationError, check_index, check_real, require
+from .channel import ChannelParams, ChannelSpec, Family, abgx, check_params
+from .errors import CELL_BUDGET, TruncationError, check_index, check_real, require
+from .errors import HARD_CAP  # noqa: F401  re-exported: callers read the index cap here
 from .kernels import recurrence_grid
 
 # The tail tolerance of every adaptive grid built without an explicit one:
@@ -147,8 +148,9 @@ def _trim(rows: np.ndarray, tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_cells(i_max: int, n_max) -> int:
-    """n_max as an index for which rows 0..i_max hold at most CELL_BUDGET cells."""
-    n_max = check_index("n_max", n_max)
+    """n_max as an index for which rows 0..i_max hold at most CELL_BUDGET
+    cells, the only bound on an explicit size."""
+    n_max = check_index("n_max", n_max, hi=math.inf)
     require((i_max + 1) * (n_max + 1) <= CELL_BUDGET, "n_max", n_max,
             f"(i_max+1)*(n_max+1) <= {CELL_BUDGET} at i_max={i_max}")
     return n_max
@@ -162,40 +164,33 @@ def grid_recurrence(params: ChannelParams, i_max: int,
     The adaptive n_max is the smallest cutoff at which every row keeps at
     least 1 - tail_tol of its mass, so tails.max() <= tail_tol. The fill
     starts at a Chernoff bound on the tail of row i_max, which is never
-    below that cutoff, doubles the cutoff while any tail still exceeds
-    tail_tol (a safety net against rounding), and then trims the rows to
-    the first column that meets tail_tol. Passing n_max explicitly skips
-    adaptation and trimming (tails are then whatever they are). Raises
-    DomainError for an index outside [0, HARD_CAP], a tail_tol outside
-    (0, 1), or a grid, explicit or at its first cutoff, of more than
-    CELL_BUDGET cells; and TruncationError if HARD_CAP or CELL_BUDGET would
-    be exceeded before meeting tail_tol.
+    below that cutoff, moves the cutoff to 2*n_max + 1 while any tail still
+    exceeds tail_tol (a safety net against rounding), and then trims the
+    rows to the first column that meets tail_tol. Passing n_max explicitly
+    skips adaptation and trimming (tails are then whatever they are).
+    CELL_BUDGET alone bounds the grid's size. Raises DomainError for params
+    that check_params rejects, an i_max outside [0, HARD_CAP], a tail_tol
+    outside (0, 1), or an explicit n_max below 0 or past CELL_BUDGET; and
+    TruncationError, before filling it, for an adaptive grid that would
+    pass CELL_BUDGET before every tail meets tail_tol.
     """
+    check_params(params)
     tail_tol = check_real("tail_tol", tail_tol, "0 < tail_tol < 1",
                           lambda x: 0.0 < x < 1.0)
     i_max = check_index("i_max", i_max)
     adaptive = n_max is None
-    if adaptive:
-        n_max = min(_initial_cutoff(params, i_max, tail_tol), HARD_CAP)
-        require((i_max + 1) * (n_max + 1) <= CELL_BUDGET, "i_max", i_max,
-                f"(i_max+1)*(n_max+1) <= {CELL_BUDGET} at the first cutoff n_max={n_max}")
-    else:
-        n_max = _check_cells(i_max, n_max)
+    n_max = _initial_cutoff(params, i_max, tail_tol) if adaptive else _check_cells(i_max, n_max)
     while True:
+        if adaptive and (i_max + 1) * (n_max + 1) > CELL_BUDGET:
+            raise TruncationError(
+                f"rows 0..{i_max} to n_max={n_max} for tail_tol {tail_tol:.3e} "
+                f"pass the cell budget {CELL_BUDGET}")
         rows = recurrence_grid(params.alpha, params.beta, params.gamma,
                                params.chi, i_max, n_max)
         tails = 1.0 - rows.sum(axis=1)
         if not adaptive or tails.max() <= tail_tol:
             break
-        if n_max >= HARD_CAP:
-            raise TruncationError(
-                f"tail {tails.max():.3e} > {tail_tol:.3e} at the hard cap "
-                f"n_max={HARD_CAP}")
-        n_max = min(2 * n_max, HARD_CAP)
-        if (i_max + 1) * (n_max + 1) > CELL_BUDGET:
-            raise TruncationError(
-                f"tail {tails.max():.3e} > {tail_tol:.3e}, and the next cutoff "
-                f"n_max={n_max} passes the cell budget {CELL_BUDGET} at i_max={i_max}")
+        n_max = 2 * n_max + 1
     if adaptive:
         rows, tails = _trim(rows, tail_tol)
         n_max = rows.shape[1] - 1
@@ -251,6 +246,7 @@ def row_multinomial(params: ChannelParams, i: int, n_max: int) -> np.ndarray:
     the entries that carry the row's mass, but an entry far below 1e-40,
     deep in a tail, keeps no correct digits. No table is kept between calls.
     """
+    check_params(params)
     i, n_max = check_index("i", i), check_index("n_max", n_max)
     alpha, beta, gamma, chi = params.alpha, params.beta, params.gamma, params.chi
     log_p = math.log10(chi) + i * math.log10(alpha + abs(gamma))   # log10 sum |p|
@@ -290,8 +286,10 @@ def series_rectangle(params: ChannelParams, i_max: int, n_max: int) -> np.ndarra
     families. Each B[k] is scaled to a maximum of 1, the factor carried into
     A[k]; as A[k, a] * B[k, b] <= h[a, b] / chi, neither overflows. Uses
     none of the recurrence, the kernels or the closed-form sum. Raises
-    DomainError for a rectangle of more than CELL_BUDGET cells.
+    DomainError for params that check_params rejects and for a rectangle of
+    more than CELL_BUDGET cells.
     """
+    check_params(params)
     i_max = check_index("i_max", i_max)
     n_max = _check_cells(i_max, n_max)
 

@@ -342,20 +342,35 @@ def test_non_finite_or_negative_input_exits_2_without_traceback(case, capsys, mo
                          named)
 
 
+def _no_fill(*args):
+    raise AssertionError("a grid beyond the cell budget was filled")
+
+
 @pytest.mark.parametrize("argv, named", [
     (["grid", "--family", "lossy", "--eta", "0.5", "--N", "1", "--imax", "20000",
       "--nmax", "20000"], "n_max=20000"),
-    (["mixture", "--family", "lossy", "--eta", "0.5", "--N", "1", "--weights", "0.5,0.5",
-      "--k", "19999"], "i_max=20000"),
-], ids=["grid-20001-squared", "mixture-k-19999"])
+], ids=["grid-20001-squared"])
 def test_grids_beyond_the_cell_budget_exit_2_without_filling(argv, named, capsys, monkeypatch):
     from fockladder import transition
 
-    def no_fill(*args):
-        raise AssertionError("a grid beyond the cell budget was filled")
-
-    monkeypatch.setattr(transition, "recurrence_grid", no_fill)
+    monkeypatch.setattr(transition, "recurrence_grid", _no_fill)
     assert_exit_2_naming(*run_cli(capsys, monkeypatch, argv), named)
+
+
+@pytest.mark.parametrize("argv", [
+    ["mixture", "--family", "lossy", "--eta", "0.5", "--N", "1", "--weights", "0.5,0.5",
+     "--k", "19999"],
+    ["ladder", "--family", "noise", "--n", "1e6", "--imax", "30"],
+], ids=["mixture-k-19999", "ladder-noise-1e6"])
+def test_adaptive_grids_beyond_the_cell_budget_exit_1_without_filling(argv, capsys,
+                                                                     monkeypatch):
+    # an adaptive grid that cannot fit cannot be verified: a failed check, not bad input
+    from fockladder import transition
+
+    monkeypatch.setattr(transition, "recurrence_grid", _no_fill)
+    code, out, err = run_cli(capsys, monkeypatch, argv)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith("check failed: ") and err.count("\n") == 1 and "cell budget" in err
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -367,8 +382,7 @@ def test_grids_beyond_the_cell_budget_exit_2_without_filling(argv, named, capsys
       "--mode", "lowest", "--tol", "nan"], "tol=nan"),
 ], ids=["entropy-order-nan", "mixture-tol-nan", "mixture-lowest-tol-nan"])
 def test_out_of_domain_tol_or_order_exits_2_before_any_fill(argv, named, capsys, monkeypatch):
-    # noise(n=999) needs more than HARD_CAP columns at i = 0: a fill before
-    # the argument check would exit 1 with "check failed: tail ..."
+    # the patched kernel fails any fill made before the argument check
     from fockladder import transition
 
     def no_fill(*args):

@@ -374,8 +374,7 @@ def test_experiment_arguments_out_of_domain(call):
     lambda s: counterexample_search(s, make_counterexample_corpus(), math.nan),
 ], ids=["ladder", "shift", "lowest", "scan", "search"])
 def test_a_non_finite_tol_is_rejected_before_any_grid_is_filled(call, monkeypatch):
-    # noise(n=999) needs more than HARD_CAP columns at i = 0, so a grid built
-    # before the tol check would end in TruncationError
+    # the patched kernel fails any grid built before the tol check
     def no_fill(*args):
         raise AssertionError("a grid was filled before tol was checked")
 

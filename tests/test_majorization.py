@@ -296,6 +296,12 @@ def test_energy_bounds_with_tail():
     assert hi == pytest.approx(0.4 + HARD_CAP * 0.2)
 
 
+def test_energy_bounds_of_a_row_longer_than_the_index_cap():
+    s = fds(np.full(HARD_CAP + 10, 0.5 / (HARD_CAP + 10)), tail=0.5)
+    lo, hi = s.energy_bounds()
+    assert lo == hi == s.energy + (HARD_CAP + 10) * 0.5
+
+
 @pytest.mark.parametrize("call", [
     lambda p, s: build_D(p, HARD_CAP + 1), lambda p, s: build_D(p, 0),
     lambda p, s: build_D(p, 10**11), lambda p, s: build_D(p, 4.0),

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockladder import (DomainError, TruncationError, abgx, analytic_special, grid_recurrence,
-                        make_channel, row_multinomial, row_series,
-                        series_rectangle, standard_grid)
-from fockladder import transition
+from fockladder import (DomainError, FockDiagonalState, TruncationError, abgx,
+                        analytic_special, apply_D_power, build_D, grid_recurrence,
+                        ladder_verify, make_channel, row_multinomial, row_series,
+                        series_rectangle, standard_grid, validate_params)
+from fockladder import majorization, transition
 from fockladder.errors import CELL_BUDGET
 from fockladder.transition import HARD_CAP
 from fockladder.channel import ChannelParams
@@ -149,11 +150,46 @@ def test_explicit_n_max_is_not_trimmed():
     assert wide.tails.max() < adaptive.tails.max()
 
 
-def test_truncation_error_at_hard_cap():
-    # beta = 1e4/(1e4+1): the tail of row 1 at n = HARD_CAP is about 0.14
-    p = abgx(make_channel("noise", added_n=1e4))
-    with pytest.raises(TruncationError, match=f"n_max={HARD_CAP}"):
-        grid_recurrence(p, 1)
+# one channel of each family with beta >= 0.999, whose grids at i_max 30
+# need 23,616 to 41,085 columns
+HIGH_BETA = [make_channel("noise", added_n=999.0), make_channel("amp", g=100.0, thermal_N=10.0),
+             make_channel("lossy", eta=0.001, thermal_N=1500.0),
+             make_channel("conj", g=2.0, thermal_N=499.0)]
+
+
+@pytest.mark.parametrize("spec", HIGH_BETA, ids=lambda s: s.family.value)
+def test_grids_past_the_index_cap_pass_the_ladder_and_match_the_closed_form(spec):
+    p = abgx(spec)
+    assert p.beta >= 0.999
+    grid = grid_recurrence(p, 30)
+    assert grid.n_max > HARD_CAP and grid.tails.max() <= transition.DEFAULT_TAIL_TOL
+    assert ladder_verify(spec, 30, grid=grid).passed
+    for i in (0, 15, 30):
+        assert np.abs(grid.rows[i, :4000] - row_multinomial(p, i, 3999)).max() <= 1e-15
+    # an explicit cutoff reproduces the adaptive grid: the fill is causal in n
+    explicit = grid_recurrence(p, 30, n_max=grid.n_max)
+    np.testing.assert_array_equal(explicit.rows, grid.rows)
+    np.testing.assert_array_equal(explicit.tails, grid.tails)
+
+
+def test_a_zero_first_cutoff_grows_to_the_same_grid(monkeypatch):
+    p = abgx(make_channel("lossy", eta=0.5, thermal_N=1.0))
+    expect = grid_recurrence(p, 4)
+    fill, fills = transition.recurrence_grid, []
+
+    def counted(*args):
+        fills.append(args[-1])
+        if len(fills) > 64:
+            raise AssertionError("the cutoff stopped growing")
+        return fill(*args)
+
+    monkeypatch.setattr(transition, "_initial_cutoff", lambda *args: 0)
+    monkeypatch.setattr(transition, "recurrence_grid", counted)
+    got = grid_recurrence(p, 4)
+    assert fills[:3] == [0, 1, 3] and len(fills) > 3
+    assert got.n_max == expect.n_max
+    np.testing.assert_array_equal(got.rows, expect.rows)
+    np.testing.assert_array_equal(got.tails, expect.tails)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -459,15 +495,13 @@ def test_analytic_special_at_binomials_beyond_binary64(spec, i, n_max):
 @pytest.mark.parametrize("call", [
     lambda p, s: grid_recurrence(p, 2.5), lambda p, s: grid_recurrence(p, True),
     lambda p, s: grid_recurrence(p, HARD_CAP + 1),
-    lambda p, s: grid_recurrence(p, 2, n_max=HARD_CAP + 1),
     lambda p, s: grid_recurrence(p, 2, n_max=10**11),
     lambda p, s: grid_recurrence(p, 2, tail_tol="1e-10"),
     lambda p, s: row_multinomial(p, HARD_CAP + 1, 5), lambda p, s: row_multinomial(p, 2.0, 5),
     lambda p, s: row_series(p, 2, HARD_CAP + 1), lambda p, s: series_rectangle(p, 2, 1.5),
     lambda p, s: analytic_special(s, 2.5, 3), lambda p, s: analytic_special(s, 0, HARD_CAP + 1),
-], ids=["grid-float-imax", "grid-bool-imax", "grid-imax-above-cap", "grid-nmax-above-cap",
-        "grid-nmax-1e11", "grid-string-tail-tol", "multinomial-row-above-cap",
-        "multinomial-float-row", "series-nmax-above-cap", "rectangle-float-nmax",
+], ids=["grid-float-imax", "grid-bool-imax", "grid-imax-above-cap", "grid-nmax-1e11",
+        "grid-string-tail-tol", "multinomial-row-above-cap", "multinomial-float-row", "series-nmax-above-cap", "rectangle-float-nmax",
         "special-float-row", "special-nmax-above-cap"])
 def test_indices_are_integers_up_to_the_hard_cap(call):
     spec = make_channel("lossy", eta=0.5, thermal_N=0.0)  # analytic_special has a law here
@@ -492,16 +526,51 @@ def _no_fill(*args, **kwargs):
 @pytest.mark.parametrize("call, name", [
     (lambda p: grid_recurrence(p, HARD_CAP, n_max=HARD_CAP), "n_max"),
     (lambda p: grid_recurrence(p, 2000, n_max=HARD_CAP), "n_max"),
-    (lambda p: grid_recurrence(p, HARD_CAP), "i_max"),   # first cutoff about 11,000
     (lambda p: series_rectangle(p, HARD_CAP, HARD_CAP), "n_max"),
     (lambda p: row_series(p, HARD_CAP, HARD_CAP), "n_max"),
-], ids=["grid-explicit", "grid-explicit-2000-rows", "grid-first-cutoff", "rectangle", "row-series"])
+], ids=["grid-explicit", "grid-explicit-2000-rows", "rectangle", "row-series"])
 def test_cells_beyond_the_budget_are_out_of_domain(call, name, monkeypatch):
     monkeypatch.setattr(transition, "recurrence_grid", _no_fill)
     monkeypatch.setattr(transition, "accumulate", _no_fill)
     with pytest.raises(DomainError, match=f"^{name}=") as exc:
         call(abgx(make_channel("lossy", eta=0.5, thermal_N=1.0)))
     assert str(CELL_BUDGET) in str(exc.value)
+
+
+@pytest.mark.parametrize("spec, i_max", [
+    (make_channel("noise", added_n=1e6), 30),
+    (make_channel("lossy", eta=0.5, thermal_N=1.0), HARD_CAP),   # first cutoff about 11,000
+], ids=["noise-1e6", "first-cutoff"])
+def test_adaptive_grids_beyond_the_budget_are_truncation(spec, i_max, monkeypatch):
+    monkeypatch.setattr(transition, "recurrence_grid", _no_fill)
+    with pytest.raises(TruncationError, match="cell budget"):
+        grid_recurrence(abgx(spec), i_max)
+
+
+# each tuple breaks one condition of check_params
+BAD_PARAMS = {
+    "nan-alpha": ChannelParams(alpha=math.nan, beta=0.5, gamma=0.25, chi=0.5, nu=0.5),
+    "inf-gamma": ChannelParams(alpha=0.25, beta=0.5, gamma=math.inf, chi=0.5, nu=math.inf),
+    "beta-1.5": ChannelParams(alpha=0.25, beta=1.5, gamma=-0.75, chi=0.5, nu=-0.375),
+    "chi-0": ChannelParams(alpha=0.25, beta=0.5, gamma=0.25, chi=0.0, nu=0.375),
+}
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: grid_recurrence(p, 3), lambda p: grid_recurrence(p, 3, n_max=10),
+    lambda p: row_multinomial(p, 3, 10), lambda p: series_rectangle(p, 3, 10),
+    lambda p: row_series(p, 3, 10), lambda p: build_D(p, 8),
+    lambda p: apply_D_power(p, 2, FockDiagonalState.point_mass(0), 8),
+], ids=["grid", "grid-explicit", "multinomial", "rectangle", "row-series", "build-D",
+        "D-power"])
+@pytest.mark.parametrize("bad", BAD_PARAMS)
+def test_raw_params_are_checked_before_any_fill(call, bad, monkeypatch):
+    monkeypatch.setattr(transition, "recurrence_grid", _no_fill)
+    monkeypatch.setattr(transition, "accumulate", _no_fill)
+    monkeypatch.setattr(majorization, "ladder_matvec", _no_fill)
+    with pytest.raises(DomainError, match="^params="):
+        call(BAD_PARAMS[bad])
+    assert not validate_params(BAD_PARAMS[bad]).ok
 
 
 def test_doubling_past_the_cell_budget_is_truncation(monkeypatch):
