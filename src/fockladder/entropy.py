@@ -1,7 +1,10 @@
 """Shannon and Renyi entropies of Fock-diagonal states, and the chain check.
 
-All values are in nats (the CLI offers a bits conversion). Entries below
-1e-300 are treated as exact zeros to keep denormal noise out of the sums.
+All values are in nats (the CLI offers a bits conversion). Entries at or
+below 1e-300 are treated as exact zeros to keep denormal noise out of the
+sums. One stack function computes every entropy: the rows of a grid, or a
+state's weights as a one-row stack, are taken in blocks of whole rows, and
+each block's logs or powers are summed row by row in one reduction.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams
-from .errors import check_real, require
+from .errors import SCAN_CHUNK_CELLS, check_real, require
 from .majorization import FockDiagonalState
 from .transition import TransitionGrid
 
@@ -27,30 +30,74 @@ def check_order(order) -> None:
         check_real("order", order, "order >= 0 or inf", lambda x: x >= 0.0, finite=False)
 
 
-def _entropy(weights: np.ndarray, order: float | None) -> float:
-    """Shannon (order None or 1) or Renyi entropy of the weights; the one
-    implementation behind shannon, renyi and chain_check, which validate
-    the order with check_order. Weights with none above ZERO_FLOOR (all
-    mass in the tail) have no entropy and are out of domain."""
-    w = weights[weights > ZERO_FLOOR]
-    require(w.size > 0, "weights", weights, f"at least one weight above {ZERO_FLOOR:g}")
-    if order is None or order == 1:
-        return float(-(w * np.log(w)).sum())
+def _logs(x) -> np.ndarray:
+    """math.log of each entry: the final scalar logs stay with the C
+    library's, whose bits numpy's vector log does not always match."""
+    return np.fromiter(map(math.log, x), float, len(x))
+
+
+def _block_entropies(w: np.ndarray, keep: np.ndarray, buf: np.ndarray,
+                     order: float | None) -> np.ndarray:
+    """Entropies of the rows of w, counting only the entries flagged in keep
+    (every row has one); buf, of w's shape, is overwritten."""
     if order == 0:
-        return float(math.log(len(w)))
-    if math.isinf(order):
-        return float(-math.log(w.max()))
-    total = (w ** order).sum()
-    if total == 0.0:  # every w**order underflowed: factor out the largest weight
-        top = w.max()
-        total = ((w / top) ** order).sum()
-        return float(order / (1.0 - order) * math.log(top) + math.log(total) / (1.0 - order))
-    return float(math.log(total) / (1.0 - order))
+        return _logs(np.count_nonzero(keep, axis=1).tolist())
+    if keep.all():
+        keep = True  # numpy's unmasked loops: the same values at half the cost
+    if order is not None and math.isinf(order):
+        return -_logs(np.max(w, axis=1, initial=ZERO_FLOOR, where=keep))
+    buf.fill(0.0)
+    if order is None or order == 1:
+        np.log(w, out=buf, where=keep)
+        np.multiply(buf, w, out=buf, where=keep)
+        return -buf.sum(axis=1)
+    # ** rather than np.power: it takes the same square or square-root fast
+    # path as on a state's own weights, and 0 ** order is 0 for order > 0
+    np.copyto(buf, w, where=keep)
+    buf **= order
+    total = buf.sum(axis=1)
+    low = total == 0.0
+    values = _logs(np.where(low, 1.0, total)) / (1.0 - order)
+    if low.any():  # every w**order underflowed: factor out each row's largest weight
+        w, scaled = w[low], buf[:np.count_nonzero(low)]
+        keep = keep if keep is True else keep[low]
+        top = np.max(w, axis=1, initial=ZERO_FLOOR, where=keep)
+        scaled.fill(0.0)
+        np.divide(w, top[:, None], out=scaled, where=keep)
+        scaled **= order
+        values[low] = (order / (1.0 - order) * _logs(top)
+                       + _logs(scaled.sum(axis=1)) / (1.0 - order))
+    return values
+
+
+def _entropies(rows: np.ndarray, order: float | None) -> np.ndarray:
+    """Shannon (order None or 1) or Renyi entropy of every row of a 2-D
+    stack; the one implementation behind shannon, renyi and chain_check,
+    which validate the order with check_order.
+
+    The rows are taken in blocks of at most SCAN_CHUNK_CELLS cells (one
+    row at least). In each block the log or power is taken, in a zeroed
+    buffer, only of the entries above ZERO_FLOOR, so every other entry
+    adds 0 to its row's sum. A row with no entry above ZERO_FLOOR (all
+    mass in the tail) has no entropy and is out of domain."""
+    n, width = rows.shape
+    block = max(1, SCAN_CHUNK_CELLS // max(1, width))
+    buf = np.empty((min(block, n), width))
+    values = np.empty(n)
+    for lo in range(0, n, block):
+        w = rows[lo:lo + block]
+        keep = w > ZERO_FLOOR
+        held = keep.any(axis=1)
+        if not held.all():
+            r = int(np.argmin(held))
+            require(False, "weights", w[r], f"at least one weight above {ZERO_FLOOR:g}")
+        values[lo:lo + len(w)] = _block_entropies(w, keep, buf[:len(w)], order)
+    return values
 
 
 def shannon(p: FockDiagonalState) -> float:
     """-sum p_n ln p_n with 0 ln 0 = 0."""
-    return _entropy(p.weights, None)
+    return float(_entropies(p.weights[None, :], None)[0])
 
 
 def renyi(p: FockDiagonalState, order: float) -> float:
@@ -60,7 +107,7 @@ def renyi(p: FockDiagonalState, order: float) -> float:
     order=inf -ln(max p). Negative and NaN orders are out of domain.
     """
     check_order(order)
-    return _entropy(p.weights, order)
+    return float(_entropies(p.weights[None, :], order)[0])
 
 
 def thermal_entropy(mean: float) -> float:
@@ -106,10 +153,12 @@ class EntropyChainReport:
 
 def chain_check(grid: TransitionGrid, order: float | None = None) -> EntropyChainReport:
     """Entropy of each grid row, asserting S_i <= S_{i+1} within 1e-12.
-    Each value is computed on the grid row itself, as shannon or renyi
-    computes it on a state holding that row."""
+    The rows go through the one stack function in blocks of whole rows
+    (see _entropies), so each value is the one shannon or renyi computes
+    on a state holding that row. Raises DomainError for an order that
+    check_order rejects or a row with no weight above ZERO_FLOOR."""
     check_order(order)
-    values = np.array([_entropy(row, order) for row in grid.rows])
+    values = _entropies(grid.rows, order)
     if len(values) > 1:
         worst = float((values[:-1] - values[1:]).max())
     else:

@@ -15,6 +15,12 @@ import numpy as np
 # It does not bound a grid's columns; CELL_BUDGET alone bounds its size.
 HARD_CAP = 20000
 CELL_BUDGET = 2 ** 25  # the most cells, rows times columns, of one grid or rectangle (256 MiB)
+# The most cells of one block of whole rows (at least one row) in every
+# stage that walks a grid or a stack after it is built: the ladder's
+# prefix sums, margins and witness, the entropies, and the passive-path
+# scan's chunks. On the passive_scan sweep (widths 29-65) a pass took
+# 12-21% longer at 2^13, 2^15 or 2^16 cells than at 2^14.
+SCAN_CHUNK_CELLS = 1 << 14
 
 
 class DomainError(ValueError):

@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .channel import ChannelSpec, Family, abgx, make_channel
-from .errors import WitnessError, check_index, require
+from .errors import SCAN_CHUNK_CELLS, WitnessError, check_index, require
 from .kernels import ladder_matvec
 from .majorization import (DEFAULT_TOL, RELATIONS, FockDiagonalState, MajorizationVerdict,
-                           VerdictStack, check_coefficients, check_tol, compare_stack, decide,
-                           holds_left, prefix_sums)
+                           VerdictStack, check_coefficients, check_rows, check_tol,
+                           compare_stack, decide, holds_left, prefix_sums, raw_prefix_sums)
 from .transition import DEFAULT_TAIL_TOL, TransitionGrid, grid_recurrence
 
 DEFAULT_SEED = 20240
@@ -93,27 +93,43 @@ def ladder_verify(spec: ChannelSpec, i_max: int = 30, tol: float = DEFAULT_TOL,
     """Check that each output row majorizes the next one, for Fock inputs
     0..i_max, and cross-check each step through the ladder matrix.
 
-    Every row is validated, sorted and summed once: one prefix_sums call
-    over rows 0..i_max, whose consecutive differences give the margins of
-    all i_max steps, decided in one decide call, exactly as compare_stack
-    would decide rows[:-1] against rows[1:]. The prefix sums are released
-    before one ladder_matvec over the stack of rows 0..i_max-1 witnesses
-    every step. The rows are those of grid when one is supplied (rows
-    0..i_max of it; tail_tol then plays no part), else of a new adaptive
-    grid. Raises DomainError unless 1 <= i_max <= HARD_CAP, check_tol
-    accepts tol and the grid is the channel's with grid.i_max >= i_max
-    (tail_tol as grid_recurrence)."""
+    One check_rows call validates rows 0..i_max. The steps are then walked
+    in blocks of whole rows, at most SCAN_CHUNK_CELLS cells each (one row
+    at least): each block's next rows are sorted and summed once
+    (raw_prefix_sums), their margins taken against the prefix row before
+    them (the previous block's last) and decided in one decide call, and
+    one ladder_matvec over the block's rows, against the rows one further,
+    witnesses its steps. Every row is compared with the next exactly as
+    compare_stack would compare rows[:-1] with rows[1:], so the blocks
+    leave no trace in the report, and no temporary is larger than a few
+    blocks. The rows are those of grid when one is supplied (rows 0..i_max
+    of it; tail_tol then plays no part), else of a new adaptive grid.
+    Raises DomainError unless 1 <= i_max <= HARD_CAP, check_tol accepts
+    tol and the grid is the channel's with grid.i_max >= i_max (tail_tol
+    as grid_recurrence), and NormalizationError naming the first row t[r]
+    that is not a distribution."""
     i_max = check_index("i_max", i_max, 1)
     check_tol(tol)
     grid = _ensure_grid(spec, i_max, grid, tail_tol)
     params, rows, tails = grid.params, grid.rows[:i_max + 1], grid.tails[:i_max + 1]
-    prefix = prefix_sums(rows, tails, sort=True, name="t")
-    steps = decide(prefix[:-1] - prefix[1:], tol, tails[:-1], tails[1:])
-    del prefix
+    check_rows(rows, tails, "t")
+    block = max(1, SCAN_CHUNK_CELLS // rows.shape[1])
+    prefix = np.empty((min(block, i_max) + 1, rows.shape[1]))
+    raw_prefix_sums(rows[:1], sort=True, out=prefix[:1])
+    stacks, witness_err = [], 0.0
+    for lo in range(0, i_max, block):
+        hi = min(lo + block, i_max)  # steps lo..hi-1 compare rows lo..hi
+        n = hi - lo
+        raw_prefix_sums(rows[lo + 1:hi + 1], sort=True, out=prefix[1:n + 1])
+        stacks.append(decide(prefix[:n] - prefix[1:n + 1], tol, tails[lo:hi],
+                             tails[lo + 1:hi + 1]))
+        prefix[0] = prefix[n]
+        image = ladder_matvec(params.alpha, params.beta, params.nu, rows[lo:hi])
+        image -= rows[lo + 1:hi + 1]
+        witness_err = max(witness_err, float(np.abs(image, out=image).max()))
+    steps = VerdictStack(*(np.concatenate([getattr(s, f.name) for s in stacks])
+                           for f in fields(VerdictStack)))
     verdicts = tuple(steps.verdict(i) for i in range(i_max))
-    image = ladder_matvec(params.alpha, params.beta, params.nu, rows[:-1])
-    image -= rows[1:]
-    witness_err = float(np.abs(image, out=image).max())
     passed = all(v.holds_left for v in verdicts) and witness_err <= tol
     return LadderReport(channel=spec, i_max=i_max, verdicts=verdicts,
                         worst_slack=float(steps.left_slack.min()),
@@ -204,13 +220,11 @@ def mixture_vs_lowest_fock(spec: ChannelSpec, coeffs, k: int, tol: float = DEFAU
 # ---------------------------------------------------------------------------
 
 MAX_SCAN_LENGTH = 16
-# Consecutive groups of patterns are merged into spans of at most this many
-# cells, each decided in one prefix_sums and one decide call; a larger group
-# is done in row chunks of this size. Temporaries beyond the chunks are two
-# arrays the size of the largest group, C(L, L//2) x width floats (62 MiB at
-# L = 16, width 314). On the passive_scan sweep (widths 29-65) a pass took
-# 12-21% longer at 2^13, 2^15 or 2^16 cells than at 2^14.
-SCAN_CHUNK_CELLS = 1 << 14
+# Consecutive groups of patterns are merged into spans of at most
+# SCAN_CHUNK_CELLS cells, each decided in one prefix_sums and one decide
+# call; a larger group is done in row chunks of this size. Temporaries
+# beyond the chunks are two arrays the size of the largest group,
+# C(L, L//2) x width floats (62 MiB at L = 16, width 314).
 
 
 def _passive_move(code):

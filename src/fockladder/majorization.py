@@ -202,14 +202,23 @@ def check_rows(weights: np.ndarray, tails: np.ndarray, name: str) -> None:
     raise NormalizationError(f"{label}: {reason}")
 
 
-def prefix_sums(weights: np.ndarray, tails: np.ndarray, sort: bool,
-                name: str) -> np.ndarray:
-    """Validate each row (see check_rows) and return its prefix sums, taken
-    over the descending-sorted row when sort is set, else in Fock order."""
-    check_rows(weights, tails, name)
+def raw_prefix_sums(weights: np.ndarray, sort: bool, out=None) -> np.ndarray:
+    """Prefix sums of each row of weights, unvalidated, taken over the
+    descending-sorted row when sort is set, else in Fock order; written
+    into out when it is given. The one sort-and-sum implementation: a row's
+    sums do not depend on the other rows of the stack, so a caller may
+    take a stack in blocks of rows."""
     if sort:
         weights = np.sort(weights, axis=1)[:, ::-1]
-    return np.cumsum(weights, axis=1)
+    return np.cumsum(weights, axis=1, out=out)
+
+
+def prefix_sums(weights: np.ndarray, tails: np.ndarray, sort: bool,
+                name: str) -> np.ndarray:
+    """Validate each row (see check_rows) and return its prefix sums (see
+    raw_prefix_sums)."""
+    check_rows(weights, tails, name)
+    return raw_prefix_sums(weights, sort)
 
 
 def decide(margins: np.ndarray, tol: float, p_tails: np.ndarray,

@@ -123,7 +123,8 @@ def _initial_cutoff(params: ChannelParams, i_max: int, tail_tol: float) -> int:
 
 def _trim(rows: np.ndarray, tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Cut rows after the first column at which every row has kept at least
-    1 - tail_tol of its mass; return the cut rows and their tails.
+    1 - tail_tol of its mass, inside their own buffer; return the cut rows
+    and their tails.
 
     The ladder matrix only moves mass to higher n, so row i_max has the
     heaviest tail, and the cut is first guessed on the running sum of that
@@ -131,7 +132,13 @@ def _trim(rows: np.ndarray, tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
     tails, so the tails of all rows, recomputed at the cut, decide: the cut
     steps forward while they exceed tail_tol and back while one column less
     still meets it. The forward steps end at the last column, whose tails
-    met tail_tol when the grid was filled."""
+    met tail_tol when the grid was filled.
+
+    No second grid is allocated: rows 1..i_max are moved left, one at a
+    time, to their places in a grid of the cut width, and the buffer is
+    shrunk to that grid with ndarray.resize. rows must therefore own its
+    C-contiguous buffer, and no view of it may be alive; the array returned
+    is rows itself."""
     def tails_at(cut: int) -> np.ndarray:
         return 1.0 - rows[:, :cut + 1].sum(axis=1)
 
@@ -144,7 +151,13 @@ def _trim(rows: np.ndarray, tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
         tails = tails_at(cut)
     while cut > 0 and (fewer := tails_at(cut - 1)).max() <= tail_tol:
         cut, tails = cut - 1, fewer
-    return rows[:, :cut + 1].copy(), tails
+    if cut < last:
+        width, flat = cut + 1, rows.reshape(-1)
+        for i in range(1, len(rows)):
+            flat[i * width:(i + 1) * width] = rows[i, :width]
+        del flat
+        rows.resize((len(rows), width), refcheck=False)
+    return rows, tails
 
 
 def _check_cells(i_max: int, n_max) -> int:
@@ -166,8 +179,12 @@ def grid_recurrence(params: ChannelParams, i_max: int,
     starts at a Chernoff bound on the tail of row i_max, which is never
     below that cutoff, moves the cutoff to 2*n_max + 1 while any tail still
     exceeds tail_tol (a safety net against rounding), and then trims the
-    rows to the first column that meets tail_tol. Passing n_max explicitly
-    skips adaptation and trimming (tails are then whatever they are).
+    rows to the first column that meets tail_tol inside the fill's own
+    buffer (see _trim), so the grid is the only grid-sized array it holds.
+    Rows are clamped at zero in place, and only when an entry is negative;
+    they own their C-contiguous data and are read-only. Passing n_max
+    explicitly skips adaptation and trimming (tails are then whatever they
+    are).
     CELL_BUDGET alone bounds the grid's size. Raises DomainError for params
     that check_params rejects, an i_max outside [0, HARD_CAP], a tail_tol
     outside (0, 1), or an explicit n_max below 0 or past CELL_BUDGET; and
@@ -195,7 +212,8 @@ def grid_recurrence(params: ChannelParams, i_max: int,
         rows, tails = _trim(rows, tail_tol)
         n_max = rows.shape[1] - 1
     raw_min = min(0.0, float(rows.min()))
-    np.clip(rows, 0.0, None, out=rows)
+    if raw_min < 0.0:
+        np.clip(rows, 0.0, None, out=rows)
     np.clip(tails, 0.0, None, out=tails)
     rows.setflags(write=False)
     tails.setflags(write=False)

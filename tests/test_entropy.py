@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -7,6 +8,7 @@ import pytest
 from fockladder import (DomainError, FockDiagonalState, abgx, chain_check,
                         grid_recurrence, make_channel, renyi, shannon,
                         standard_grid, thermal_entropy)
+from fockladder import entropy as entropy_mod
 
 
 def fds(values, tail=0.0):
@@ -153,3 +155,54 @@ def test_thermal_entropy_is_accurate_from_subnormal_to_largest_means():
             error = abs(Decimal(thermal_entropy(mean)) - exact)
             # relative 1e-15, or half the smallest subnormal for a subnormal result
             assert error <= Decimal("1e-15") * exact + Decimal(2) ** -1075, mean
+
+
+def _fsum_entropy(row, order):
+    """Entropy of the weights above ZERO_FLOOR, every sum a math.fsum."""
+    w = [float(x) for x in row if x > entropy_mod.ZERO_FLOOR]
+    if order is None:
+        return -math.fsum(x * math.log(x) for x in w)
+    if order == 0:
+        return math.log(len(w))
+    top = max(w)
+    if math.isinf(order):
+        return -math.log(top)
+    # the largest weight factored out, so that order 5000 does not underflow
+    return (order * math.log(top) + math.log(math.fsum((x / top) ** order for x in w))) / (1 - order)
+
+
+@pytest.mark.parametrize("spec", [make_channel("amp", g=2.0, thermal_N=0.0),
+                                  make_channel("lossy", eta=0.5, thermal_N=0.0)],
+                         ids=lambda s: s.label())
+@pytest.mark.parametrize("order", [None, 0.0, 0.5, 2.0, math.inf, 5000.0],
+                         ids=["shannon", "0", "0.5", "2", "inf", "5000"])
+def test_rows_with_exact_zeros_match_an_fsum_reference(spec, order):
+    # N = 0 rows hold exact zeros: the amplifier's below n = i, the loss's past
+    # n = i (up to row 29 at least). pytest turns any RuntimeWarning into an
+    # error (pyproject.toml).
+    grid = grid_recurrence(abgx(spec), 30)
+    assert (grid.rows[1:30] <= entropy_mod.ZERO_FLOOR).any(axis=1).all()
+    values = chain_check(grid, order).values
+    expect = [_fsum_entropy(row, order) for row in grid.rows]
+    assert np.abs(values - expect).max() <= 4e-15
+
+
+@pytest.mark.parametrize("order", [None, 0.0, 0.5, 2.0, math.inf, 5000.0],
+                         ids=["shannon", "0", "0.5", "2", "inf", "5000"])
+def test_chain_values_do_not_depend_on_the_block_size(order, monkeypatch):
+    grid = grid_recurrence(abgx(make_channel("conj", g=2.0, thermal_N=0.5)), 20)
+    expect = chain_check(grid, order).values
+    for rows_per_block in (1, 2, 7):
+        monkeypatch.setattr(entropy_mod, "SCAN_CHUNK_CELLS", rows_per_block * grid.rows.shape[1])
+        np.testing.assert_array_equal(chain_check(grid, order).values, expect)
+
+
+@pytest.mark.parametrize("order", [None, 0.0, 0.5, 1.0, 2.0, math.inf])
+def test_a_grid_row_with_no_weight_is_out_of_domain(order, monkeypatch):
+    grid = grid_recurrence(abgx(make_channel("lossy", eta=0.5, thermal_N=1.0)), 6)
+    rows = grid.rows.copy()
+    rows[5] = np.where(rows[5] > 1e-3, 1e-301, 0.0)  # every weight at or below ZERO_FLOOR
+    hand_built = dataclasses.replace(grid, rows=rows)
+    monkeypatch.setattr(entropy_mod, "SCAN_CHUNK_CELLS", 2 * rows.shape[1])  # row 5 in the third block
+    with pytest.raises(DomainError, match="^weights="):
+        chain_check(hand_built, order)

@@ -9,9 +9,10 @@ from fockladder import (BinaryPattern, DomainError, FockDiagonalState, Normaliza
                         fock_compare, grid_recurrence, ladder_verify, majorize_compare,
                         make_channel, make_counterexample_corpus, mixture_shift_check,
                         mixture_vs_lowest_fock, passive_path, standard_grid)
-from fockladder import suite, transition
+from fockladder import experiments, suite, transition
 from fockladder.errors import WitnessError
 from fockladder.experiments import CorpusPair, _output_of_weights, mixture_checks
+from ladder_reference import reference_ladder
 
 
 def test_standard_grid_covers_all_families():
@@ -398,3 +399,61 @@ def test_foreign_or_short_grid_is_out_of_domain():
     short = grid_recurrence(abgx(spec), 2)
     with pytest.raises(DomainError, match="grid.i_max=2"):
         conjecture_scan(spec, 4, grid=short)
+
+
+# ---------------------------------------------------------------------------
+# ladder_verify walks the steps in row blocks; every report field must equal
+# the whole-stack formulation's, wherever the block boundaries fall
+# ---------------------------------------------------------------------------
+
+def _same_report(got, expect):
+    assert repr(got) == repr(expect)
+    assert got.worst_slack == expect.worst_slack
+    assert got.witness_max_err == expect.witness_max_err
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 3, 5])
+def test_ladder_blocks_reproduce_the_whole_stack_report(rows_per_block, monkeypatch):
+    spec = make_channel("amp", g=2.0, thermal_N=0.5)
+    grid = grid_recurrence(abgx(spec), 2 * rows_per_block + 3)
+    monkeypatch.setattr(experiments, "SCAN_CHUNK_CELLS", rows_per_block * grid.rows.shape[1])
+    # i_max + 1 rows: one row, one less than a block, a block, one more, and past two blocks
+    sizes = {1, rows_per_block - 2, rows_per_block - 1, rows_per_block,
+             2 * rows_per_block, 2 * rows_per_block + 1, 2 * rows_per_block + 2}
+    for i_max in sorted(s for s in sizes if s >= 1):
+        _same_report(ladder_verify(spec, i_max, grid=grid),
+                     reference_ladder(spec, i_max, 1e-12, grid))
+
+
+@pytest.mark.parametrize("spec", standard_grid()[::7], ids=lambda s: s.label())
+def test_ladder_blocks_reproduce_the_whole_stack_report_at_the_default_budget(spec):
+    grid = grid_recurrence(abgx(spec), 40)
+    for i_max in (1, 30, 40):
+        _same_report(ladder_verify(spec, i_max, grid=grid),
+                     reference_ladder(spec, i_max, 1e-12, grid))
+
+
+@pytest.mark.parametrize("spec", [make_channel("conj", g=2.0, thermal_N=499.0),
+                                  make_channel("noise", added_n=999.0)],
+                         ids=lambda s: s.family.value)
+def test_ladder_on_rows_wider_than_one_block(spec):
+    grid = grid_recurrence(abgx(spec), 30)
+    assert grid.rows.shape[1] > experiments.SCAN_CHUNK_CELLS  # one row per block
+    report = ladder_verify(spec, 30, grid=grid)
+    assert report.passed
+    _same_report(report, reference_ladder(spec, 30, 1e-12, grid))
+
+
+def test_a_bad_row_in_a_later_block_is_named_as_by_the_whole_stack(monkeypatch):
+    spec = make_channel("lossy", eta=0.5, thermal_N=1.0)
+    grid = grid_recurrence(abgx(spec), 12)
+    rows = grid.rows.copy()
+    rows[9] *= 1.001
+    bad = dataclasses.replace(grid, rows=rows)
+    monkeypatch.setattr(experiments, "SCAN_CHUNK_CELLS", 2 * rows.shape[1])
+    with pytest.raises(NormalizationError) as expect:
+        reference_ladder(spec, 12, 1e-12, bad)
+    with pytest.raises(NormalizationError) as got:
+        ladder_verify(spec, 12, grid=bad)
+    assert str(got.value) == str(expect.value)
+    assert str(got.value).startswith("t[9]: weights+tail=")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -131,7 +132,7 @@ def test_trim_cuts_at_the_first_column_meeting_tail_tol(seed):
     rows[0] = np.sort(rows[0])
     tie = int(rng.integers(1, 398))
     tail_tol = float(tails_at(rows, tie).max())
-    trimmed, tails = transition._trim(rows, tail_tol)
+    trimmed, tails = transition._trim(rows.copy(), tail_tol)  # trims its argument in place
     cut = trimmed.shape[1] - 1
     np.testing.assert_array_equal(trimmed, rows[:, :cut + 1])
     np.testing.assert_array_equal(tails, 1.0 - trimmed.sum(axis=1))
@@ -588,3 +589,65 @@ def test_doubling_past_the_cell_budget_is_truncation(monkeypatch):
     with pytest.raises(TruncationError, match="cell budget"):
         grid_recurrence(abgx(make_channel("lossy", eta=0.5, thermal_N=1.0)), 2047)
     assert fills == [10000]
+
+
+def test_trim_cuts_inside_its_own_buffer():
+    rows = np.random.default_rng(3).dirichlet(np.ones(300), size=6)
+    expect = rows.copy()
+    trimmed, tails = transition._trim(rows, 0.05)
+    width = trimmed.shape[1]
+    assert trimmed is rows and width < 300
+    assert rows.flags.owndata and rows.flags.c_contiguous
+    np.testing.assert_array_equal(rows, expect[:, :width])
+    np.testing.assert_array_equal(tails, 1.0 - expect[:, :width].sum(axis=1))
+
+
+@pytest.mark.parametrize("spec", standard_grid() + [make_channel("noise", added_n=999.0)],
+                         ids=lambda s: s.label())
+def test_adaptive_grids_own_their_rows_and_equal_an_explicit_cutoff(spec):
+    p = abgx(spec)
+    grid = grid_recurrence(p, 30)
+    for a in (grid.rows, grid.tails):
+        assert a.flags.owndata and a.flags.c_contiguous and not a.flags.writeable
+    explicit = grid_recurrence(p, 30, n_max=grid.n_max)
+    assert grid.rows.tobytes() == explicit.rows.tobytes()  # signed zeros too
+    assert grid.tails.tobytes() == explicit.tails.tobytes()
+    assert grid.raw_min == explicit.raw_min
+
+
+def test_memory_of_a_wide_grid_and_its_ladder_is_bounded_by_the_grid():
+    # conj(2, 499) at i_max 300: a 64 MB grid of 301 rows by 26,708 columns
+    spec = make_channel("conj", g=2.0, thermal_N=499.0)
+    p = abgx(spec)
+    grid_recurrence(p, 300)  # warm the scale-vector cache
+
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    grid, fill_peak = traced_peak(lambda: grid_recurrence(p, 300))
+    assert grid.rows.nbytes > 60e6
+    # the fill's buffer, trimmed in place: no second grid
+    assert fill_peak < 1.25 * grid.rows.nbytes
+    report, ladder_peak = traced_peak(lambda: ladder_verify(spec, 300, grid=grid))
+    assert report.passed
+    # row blocks: no temporary the size of the grid
+    assert ladder_peak < 8e6
+
+
+def test_a_negative_fill_entry_is_clamped_and_reported(monkeypatch):
+    fill = transition.recurrence_grid
+
+    def planted(*args):
+        rows = fill(*args)
+        rows[3, 2] = -1e-17
+        return rows
+
+    monkeypatch.setattr(transition, "recurrence_grid", planted)
+    grid = grid_recurrence(abgx(make_channel("amp", g=2.0, thermal_N=0.5)), 6, n_max=40)
+    assert grid.raw_min == -1e-17
+    assert grid.rows[3, 2] == 0.0 and grid.rows.min() == 0.0
