@@ -22,13 +22,17 @@ coefficient is converted to binary64.
 
 The trinomial coefficient factors exactly as C(i, c) * C(i+n-c, i), so
 ``row_multinomial`` evaluates each row as one convolution of two
-exact-binomial factors, built in decimal arithmetic with 40 digits beyond
-the row's total absolute term mass. When gamma < 0 the terms alternate in
-sign, so the factors are scaled to fixed-point Python integers and
-convolved exactly in one integer convolution; each entry is then rounded
-to binary64 once, with an absolute error of about 1e-40 beyond rounding.
-It keeps no table between calls, and it never calls the recurrence, the
-kernels or the series extraction; the series extraction in turn never
+exact-binomial factors p and q, built in binary fixed point from the
+parameters' exact dyadic values with no decimal arithmetic: p is truncated
+to a unit of at most 2**-136 / sum q and q to one of at most
+2**-136 / max(1, sum |p|), and every power is a running, floor-truncated
+integer product at a width that covers i and the term mass. Every entry is
+therefore within 2**-134 (6e-41) of the exact sum before its final
+rounding. When gamma < 0 the terms alternate in sign, so one integer
+convolution sums them exactly and each entry is rounded to binary64 once. When gamma >= 0 the integer factors are
+scaled by powers of two, rounded once and convolved in binary64. The
+oracle keeps no table between calls, and it never calls the recurrence,
+the kernels or the series extraction; the series extraction in turn never
 calls the recurrence, the kernels or the closed-form sum.
 """
 
@@ -226,6 +230,52 @@ def _powers(base: Decimal, k: int) -> list[Decimal]:
     return list(accumulate(repeat(base, k), operator.mul, initial=Decimal(1)))
 
 
+# Guard bits below the row's total term mass: 41 decimal digits.
+_GUARD_BITS = 136
+
+
+def _running_powers(x: float, k: int, width: int) -> list[int]:
+    """x**0 .. x**k in fixed point with width fraction bits, each the previous
+    one times x, floor-truncated. x = m / 2**e exactly (float.as_integer_ratio),
+    so each step is one integer product and one shift: with |x| <= 1 the j-th
+    entry is within j units of 2**-width of x**j. No exact power is formed."""
+    m, d = x.as_integer_ratio()
+    e = d.bit_length() - 1
+    return list(accumulate(repeat(m, k), lambda acc, f: acc * f >> e, initial=1 << width))
+
+
+def _fixed_point_factors(params: ChannelParams, i: int,
+                         n_max: int) -> tuple[list[int], int, list[int], int]:
+    """(P, fp, Q, fq): p[c] * 2**fp for c <= min(i, n_max) and q[m] * 2**fq for
+    m <= n_max as integers, each within 1.5 units of the exact value (see
+    row_multinomial). The running powers of alpha and gamma have width wp and
+    those of beta width wq, so that j units of 2**-wp times chi, the largest
+    binomial C(i, c), i + 1 and max(1, |alpha|, |gamma|)**i, and j units of
+    2**-wq times C(i+n_max, i) and n_max + 1, stay below half a unit of
+    2**-fp and 2**-fq; the final shift floors once more."""
+    alpha, beta, gamma, chi = params.alpha, params.beta, params.gamma, params.chi
+    mass = abs(alpha) + abs(gamma)
+    log_p = math.log2(chi) + (i * math.log2(mass) if mass else 0.0)   # log2 sum |p|
+    log_q = -(i + 1) * math.log2(1.0 - beta)                           # log2 sum q
+    fp = _GUARD_BITS + math.ceil(log_q)
+    fq = _GUARD_BITS + max(0, math.ceil(log_p))
+
+    k = min(i, n_max)   # terms with c > n_max reach no kept column
+    binom_p = list(accumulate(range(k), lambda b, c: b * (i - c) // (c + 1), initial=1))
+    spread = (math.log2(chi) + max(binom_p).bit_length() + (i + 1).bit_length()
+              + i * math.log2(max(1.0, abs(alpha), abs(gamma))))
+    wp = fp + max(0, math.ceil(spread)) + 1
+    a_pow, g_pow = _running_powers(alpha, i, wp), _running_powers(gamma, k, wp)
+    x, d = chi.as_integer_ratio()
+    shift = 2 * wp + d.bit_length() - 1 - fp
+    P = [x * b * a_pow[i - c] * g_pow[c] >> shift for c, b in enumerate(binom_p)]
+
+    binom_q = list(accumulate(range(1, n_max + 1), lambda b, m: b * (i + m) // m, initial=1))
+    wq = fq + binom_q[-1].bit_length() + (n_max + 1).bit_length() + 1
+    Q = [b * t >> (wq - fq) for b, t in zip(binom_q, _running_powers(beta, n_max, wq))]
+    return P, fp, Q, fq
+
+
 def row_multinomial(params: ChannelParams, i: int, n_max: int) -> np.ndarray:
     """Closed-form oracle for row i: expanding the generating function as a
     geometric series in (alpha*x + beta*z + gamma*x*z) gives
@@ -237,56 +287,52 @@ def row_multinomial(params: ChannelParams, i: int, n_max: int) -> np.ndarray:
     C(i, c) * C(i+n-c, i), so the row is one convolution, T[i][n] =
     sum_c p[c] * q[n-c], of p[c] = chi * C(i, c) * alpha**(i-c) * gamma**c
     and q[m] = C(i+m, i) * beta**m: the same terms with the same exact
-    integer coefficients, grouped differently. Independent of the
-    recurrence and of the series extraction.
+    integer coefficients, grouped differently. Terms with c > n_max reach
+    no kept column and are not formed. Independent of the recurrence and of
+    the series extraction.
 
-    p and q are built in decimal arithmetic, which has no overflow, with
-    40 digits beyond log10 S, where S = chi * (alpha+|gamma|)**i /
-    (1-beta)**(i+1) = (sum |p|) * (sum q) bounds the sum of |term| over
-    the whole row. With gamma >= 0 every term is nonnegative (S = 1), so
-    p and q are scaled by their maxima, rounded to binary64 and convolved
-    in floating point; every product p[c] * q[m] is itself a term of the
-    row, so the result cannot overflow. With gamma < 0 the sum alternates
-    and cancels catastrophically in binary64 (terms grow like S while the
-    result stays below 1). There p and q become fixed-point integers:
-    p[c] truncated at 10**-dp and q[m] at 10**-dq, with
-    dp = 41 + max(0, ceil(log10 sum q)) and
-    dq = 41 + max(0, ceil(log10 sum |p|)), fine enough to keep every digit
-    of the largest entries. One convolution of the two integer lists sums
-    the terms exactly, and each entry is rounded to binary64 once, by a
-    correctly rounded division by 10**(dp+dq).
+    p and q are built in binary fixed point from the parameters' exact
+    dyadic values (float.as_integer_ratio), with no decimal arithmetic:
+    p[c] is truncated at 2**-fp and q[m] at 2**-fq, where
+    fp = 136 + ceil(log2 sum q), fq = 136 + max(0, ceil(log2 sum |p|)),
+    sum |p| = chi * (|alpha|+|gamma|)**i and sum q = (1-beta)**-(i+1); 136
+    bits are 41 decimal digits. Every power is a running, floor-truncated
+    integer product, never an exact power, at a wider width that covers i
+    and the term mass: its j units of error after j steps, scaled by the
+    binomials and chi, stay below half a unit of 2**-fp or 2**-fq. So each
+    integer is within 1.5 units of its exact factor, and an entry moves by
+    at most 1.5 * (2**-fp * sum q + 2**-fq * sum |p|) <= 3 * 2**-136, below
+    2**-134 (6e-41), before its final rounding to binary64. The precision
+    is absolute, not relative: an entry far below 1e-40, deep in a tail,
+    keeps no correct digits. No table is kept between calls.
 
-    On this path the precision is absolute, not relative. The truncation
-    moves an entry by at most 10**-dp * sum q + 10**-dq * sum |p| <= 2e-41.
-    Each term p[c] * q[m] carries at most i + n_max + 4 decimal roundings,
-    each at 40 digits beyond log10 S, which move an entry by at most
-    (i + n_max + 4) * 5e-40. Both are far below the binary64 rounding of
-    the entries that carry the row's mass, but an entry far below 1e-40,
-    deep in a tail, keeps no correct digits. No table is kept between calls.
+    With gamma < 0 (or a raw alpha < 0) the sum alternates and cancels in
+    binary64 (terms grow like (sum |p|) * (sum q) while the result stays
+    below 1). There one integer convolution of the kept outputs sums the
+    terms exactly, and each entry is rounded to binary64 once, by a
+    correctly rounded division by 2**(fp+fq): the values come from integer
+    arithmetic alone, so they do not depend on numpy's SIMD dispatch. With
+    gamma >= 0 every term is nonnegative. Each factor is scaled by a power
+    of two to a maximum in [1/2, 1] and rounded to binary64 once, by a
+    correctly rounded integer division, which cannot overflow where the
+    integers pass 2**1024. The factors are convolved in binary64 (by
+    np.convolve, whose dot product runs in BLAS) and scaled back by one
+    np.ldexp, exact above 2**-1022. Every product p[c] * q[m] is itself a
+    term of the row, so the result cannot overflow.
     """
     check_params(params)
     i, n_max = check_index("i", i), check_index("n_max", n_max)
-    alpha, beta, gamma, chi = params.alpha, params.beta, params.gamma, params.chi
-    log_p = math.log10(chi) + i * math.log10(alpha + abs(gamma))   # log10 sum |p|
-    log_q = -(i + 1) * math.log10(1.0 - beta)                       # log10 sum q
-    with localcontext() as ctx:
-        ctx.prec = 40 + max(0, math.ceil(log_p + log_q))
-        a_pow = _powers(Decimal(alpha), i)
-        g_pow = _powers(Decimal(gamma), i)
-        b_pow = _powers(Decimal(beta), n_max)
-        p = [Decimal(chi) * math.comb(i, c) * a_pow[i - c] * g_pow[c]
-             for c in range(i + 1)]
-        q = [math.comb(i + m, i) * b_pow[m] for m in range(n_max + 1)]
-        if gamma < 0.0:
-            dp = 41 + max(0, math.ceil(log_q))
-            dq = 41 + max(0, math.ceil(log_p))
-            conv = np.convolve(np.array([int(v.scaleb(dp)) for v in p], dtype=object),
-                               np.array([int(v.scaleb(dq)) for v in q], dtype=object))
-            return (conv[:n_max + 1] / 10 ** (dp + dq)).astype(np.float64)
-        top_p, top_q = max(p), max(q)
-        p_scaled = np.array([float(v / top_p) for v in p])
-        q_scaled = np.array([float(v / top_q) for v in q])
-        return float(top_p * top_q) * np.convolve(p_scaled, q_scaled)[:n_max + 1]
+    P, fp, Q, fq = _fixed_point_factors(params, i, n_max)
+    if min(params.alpha, params.gamma) < 0.0:
+        # output n is P . Q[n-k..n] reversed; zeros stand in for q[m < 0]
+        conv = np.convolve(np.array([0] * (len(P) - 1) + Q, dtype=object),
+                           np.array(P, dtype=object), mode="valid")
+        return (conv / (1 << (fp + fq))).astype(np.float64)
+    sp, sq = max(P).bit_length(), max(Q).bit_length()
+    top_p, top_q = 1 << sp, 1 << sq
+    p_scaled = np.array([v / top_p for v in P])
+    q_scaled = np.array([v / top_q for v in Q])
+    return np.ldexp(np.convolve(p_scaled, q_scaled)[:n_max + 1], sp + sq - fp - fq)
 
 
 def series_rectangle(params: ChannelParams, i_max: int, n_max: int) -> np.ndarray:

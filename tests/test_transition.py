@@ -16,6 +16,7 @@ from fockladder import majorization, transition
 from fockladder.errors import CELL_BUDGET
 from fockladder.transition import HARD_CAP
 from fockladder.channel import ChannelParams
+from multinomial_reference import reference_row
 
 IDENTITY = ChannelParams(alpha=0.0, beta=0.0, gamma=1.0, chi=1.0, nu=1.0)
 
@@ -409,6 +410,95 @@ def test_multinomial_is_independent_of_the_other_paths(monkeypatch):
         monkeypatch.setattr(module, name, forbidden)
     for p, row in zip(params, expect):
         assert np.abs(row_multinomial(p, 6, 40) - row).max() <= 1e-15
+
+
+def assert_signed_row_matches_reference(p, i, n_max):
+    # Both are within about 2**-133 of the exact sum, so their correctly
+    # rounded entries agree bit for bit until that nears half an ulp: below
+    # about 1e-24 the two absolute roundings can differ in the last bits.
+    row, ref = row_multinomial(p, i, n_max), reference_row(p, i, n_max)
+    assert p.gamma < 0.0 and len(row) == n_max + 1
+    differ = row != ref
+    assert not (differ & (np.abs(ref) >= 1e-20)).any(), np.flatnonzero(differ)
+    assert np.abs(row - ref).max() <= 2.0 ** -130
+
+
+@pytest.mark.parametrize("spec", [s for s in standard_grid() if abgx(s).gamma < 0.0],
+                         ids=lambda s: s.label())
+def test_signed_rows_reproduce_the_decimal_reference(spec):
+    p = abgx(spec)
+    n_max = grid_recurrence(p, 40).n_max
+    for i in (0, 5, 17, 30, 40):
+        assert_signed_row_matches_reference(p, i, n_max)
+
+
+@pytest.mark.parametrize("spec", HIGH_BETA, ids=lambda s: s.family.value)
+def test_high_beta_signed_rows_reproduce_the_decimal_reference(spec):
+    for i in (0, 15, 30):
+        assert_signed_row_matches_reference(abgx(spec), i, 3999)
+
+
+def test_a_row_with_terms_near_1e1300_reproduces_the_decimal_reference():
+    # terms reach about 10**1300 at i = 1000; the kept entries are 1e-136 to
+    # 1e-102, and both keep every bit of them
+    p = abgx(make_channel("conj", g=5.0, thermal_N=2.0))
+    assert p.gamma < 0.0
+    np.testing.assert_array_equal(row_multinomial(p, 1000, 100), reference_row(p, 1000, 100))
+
+
+@pytest.mark.parametrize("x", [0.0, 1.0, -1.0, 0.995, 0.7333333333333333, -2 / 3, 5e-324])
+def test_running_powers_stay_within_j_units(x):
+    # each step floors once, so x**j * 2**width - powers[j] lies in [0, j]
+    # for x >= 0 and within j in size for x < 0
+    width, exact = 80, Fraction(1)
+    for j, v in enumerate(transition._running_powers(x, 400, width)):
+        err = exact * 2 ** width - v
+        assert abs(err) <= j and (x < 0.0 or err >= 0)
+        exact *= Fraction(x)
+
+
+@pytest.mark.parametrize("spec, i, n_max", [
+    (make_channel("conj", g=5.0, thermal_N=2.0), 40, 100),    # gamma < 0
+    (make_channel("lossy", eta=0.7, thermal_N=0.5), 60, 30),  # fewer columns than rows
+    (make_channel("noise", added_n=999.0), 30, 400),          # beta 0.999
+    (make_channel("amp", g=200.0, thermal_N=0.0), 200, 300),  # q's integers pass 2**1024
+    (make_channel("lossy", eta=1.0, thermal_N=1.0), 25, 40),  # identity: gamma = 1
+], ids=["conj", "short", "noise", "amp", "identity"])
+def test_fixed_point_factors_are_within_their_units(spec, i, n_max):
+    # the widths chosen for the running powers leave each integer within 1.5
+    # units of its exact factor: half a unit from the powers, one from the floor
+    p = abgx(spec)
+    P, fp, Q, fq = transition._fixed_point_factors(p, i, n_max)
+    alpha, beta, gamma, chi = map(Fraction, (p.alpha, p.beta, p.gamma, p.chi))
+    assert len(P) == min(i, n_max) + 1 and len(Q) == n_max + 1
+    for c, v in enumerate(P):
+        assert abs(chi * math.comb(i, c) * alpha ** (i - c) * gamma ** c * 2 ** fp - v) <= 1.5
+    for m, v in enumerate(Q):
+        assert abs(math.comb(i + m, i) * beta ** m * 2 ** fq - v) <= 1.5
+
+
+def test_closed_form_rows_past_binary64_integers_stay_finite():
+    # amp(200, 0) has beta 0.995 and gamma >= 0: at i = 200 the term mass
+    # sum q = 200**201 is about 2**1536 and q's integers pass 2**1024. The
+    # row must stay finite with no OverflowError or RuntimeWarning (an
+    # error under pytest).
+    p = abgx(make_channel("amp", g=200.0, thermal_N=0.0))
+    assert p.beta == 0.995 and p.gamma >= 0.0
+    assert max(transition._fixed_point_factors(p, 200, 3000)[2]) > 2 ** 1024
+    for n_max in (3000, HARD_CAP):
+        row = row_multinomial(p, 200, n_max)
+        assert np.isfinite(row).all() and (row >= 0.0).all()
+    # row 200's mass lies near n = 40,000, past the index cap; every entry
+    # up to the cap still matches the grid to its relative rounding
+    grid = grid_recurrence(p, 200, n_max=HARD_CAP)
+    kept = grid.rows[200] > 1e-300
+    assert kept.sum() > 19_000
+    assert np.abs(row[kept] / grid.rows[200][kept] - 1.0).max() <= 1e-13
+    # row 40's bulge, near n = 8,000, lies inside its adaptive grid
+    grid = grid_recurrence(p, 40)
+    row = row_multinomial(p, 40, grid.n_max)
+    assert 0 < int(np.argmax(row)) < grid.n_max
+    assert np.abs(row - grid.rows[40]).max() <= 1e-15
 
 
 @pytest.mark.parametrize("call", [
