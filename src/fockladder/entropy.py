@@ -46,7 +46,8 @@ def _block_entropies(w: np.ndarray, keep: np.ndarray, buf: np.ndarray,
         keep = True  # numpy's unmasked loops: the same values at half the cost
     if order is not None and math.isinf(order):
         return -_logs(np.max(w, axis=1, initial=ZERO_FLOOR, where=keep))
-    buf.fill(0.0)
+    if keep is not True:  # unmasked, the log or the copy writes every cell
+        buf.fill(0.0)
     if order is None or order == 1:
         np.log(w, out=buf, where=keep)
         np.multiply(buf, w, out=buf, where=keep)
@@ -76,10 +77,11 @@ def _entropies(rows: np.ndarray, order: float | None) -> np.ndarray:
     which validate the order with check_order.
 
     The rows are taken in blocks of at most SCAN_CHUNK_CELLS cells (one
-    row at least). In each block the log or power is taken, in a zeroed
-    buffer, only of the entries above ZERO_FLOOR, so every other entry
-    adds 0 to its row's sum. A row with no entry above ZERO_FLOOR (all
-    mass in the tail) has no entropy and is out of domain."""
+    row at least). In each block the log or power is taken only of the
+    entries above ZERO_FLOOR, in a buffer zeroed first when some entry is
+    not, so every other entry adds 0 to its row's sum. A row with no entry
+    above ZERO_FLOOR (all mass in the tail) has no entropy and is out of
+    domain."""
     n, width = rows.shape
     block = max(1, SCAN_CHUNK_CELLS // max(1, width))
     buf = np.empty((min(block, n), width))

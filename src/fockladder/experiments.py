@@ -21,7 +21,7 @@ from .channel import ChannelSpec, Family, abgx, make_channel
 from .errors import SCAN_CHUNK_CELLS, WitnessError, check_index, require
 from .kernels import ladder_matvec
 from .majorization import (DEFAULT_TOL, RELATIONS, FockDiagonalState, MajorizationVerdict,
-                           VerdictStack, check_coefficients, check_rows, check_tol,
+                           VerdictStack, check_coefficient_shape, check_rows, check_tol,
                            compare_stack, decide, holds_left, prefix_sums, raw_prefix_sums)
 from .transition import DEFAULT_TAIL_TOL, TransitionGrid, grid_recurrence
 
@@ -96,7 +96,8 @@ def ladder_verify(spec: ChannelSpec, i_max: int = 30, tol: float = DEFAULT_TOL,
     One check_rows call validates rows 0..i_max. The steps are then walked
     in blocks of whole rows, at most SCAN_CHUNK_CELLS cells each (one row
     at least): each block's next rows are sorted and summed once
-    (raw_prefix_sums), their margins taken against the prefix row before
+    (raw_prefix_sums, with the stable sort that suits unimodal rows),
+    their margins taken against the prefix row before
     them (the previous block's last) and decided in one decide call, and
     one ladder_matvec over the block's rows, against the rows one further,
     witnesses its steps. Every row is compared with the next exactly as
@@ -115,12 +116,12 @@ def ladder_verify(spec: ChannelSpec, i_max: int = 30, tol: float = DEFAULT_TOL,
     check_rows(rows, tails, "t")
     block = max(1, SCAN_CHUNK_CELLS // rows.shape[1])
     prefix = np.empty((min(block, i_max) + 1, rows.shape[1]))
-    raw_prefix_sums(rows[:1], sort=True, out=prefix[:1])
+    raw_prefix_sums(rows[:1], sort=True, out=prefix[:1], kind="stable")
     stacks, witness_err = [], 0.0
     for lo in range(0, i_max, block):
         hi = min(lo + block, i_max)  # steps lo..hi-1 compare rows lo..hi
         n = hi - lo
-        raw_prefix_sums(rows[lo + 1:hi + 1], sort=True, out=prefix[1:n + 1])
+        raw_prefix_sums(rows[lo + 1:hi + 1], sort=True, out=prefix[1:n + 1], kind="stable")
         stacks.append(decide(prefix[:n] - prefix[1:n + 1], tol, tails[lo:hi],
                              tails[lo + 1:hi + 1]))
         prefix[0] = prefix[n]
@@ -161,29 +162,38 @@ def mixture_checks(spec: ChannelSpec, mode: str, draws, tol: float = DEFAULT_TOL
     left one. All 2R outputs come from one 2R-row weight matrix (R left
     mixtures, then R right ones), one prefix_sums pass and one decide call,
     and each degree of D is one ladder_matvec over the R left outputs.
-    Raises WitnessError naming the first draw that deviates beyond tol,
-    DomainError for an unknown mode or no draws, and as check_index,
-    check_coefficients and check_tol for the other arguments, all before
-    any grid is built.
+    Each draw's shape is checked on its own; then one check_rows call
+    takes every draw's coefficients, zero-padded to the longest, and names
+    the first draw that is not a probability distribution (with one draw,
+    in check_coefficients' words). Raises WitnessError naming the first
+    draw that deviates beyond tol, DomainError for an unknown mode or no
+    draws, and as check_index, check_coefficients and check_tol for the
+    other arguments, all before any grid is built.
     """
     require(mode in ("shift", "lowest"), "mode", mode, "'shift' or 'lowest'")
-    draws = [(check_index("k", k), check_coefficients(c)) for c, k in draws]
+    draws = [(check_index("k", k), check_coefficient_shape(c)) for c, k in draws]
     require(len(draws) > 0, "draws", draws, "at least one (coeffs, k) draw")
+    R, shift = len(draws), mode == "shift"
+    coeffs = np.zeros((R, max(len(c) for _, c in draws)))
+    for r, (_, c) in enumerate(draws):
+        coeffs[r, :len(c)] = c
+    check_rows(coeffs, np.zeros(R), "mixture coefficients")
     top = check_index("k + len(coeffs) - 1", max(k + len(c) - 1 for k, c in draws))
     check_tol(tol)
     grid = _ensure_grid(spec, top, grid)
-    R, shift = len(draws), mode == "shift"
     low = 0 if shift else min(k for k, _ in draws)
     W = np.zeros((2 * R, top + 1 - low))
-    poly = np.zeros((R, 1 + max(k if shift else len(c) - 1 for k, c in draws)))
+    if shift:
+        W[:R, :coeffs.shape[1]] = coeffs
+        poly = np.zeros((R, 1 + max(k for k, _ in draws)))
+    else:
+        poly = coeffs
     for r, (k, c) in enumerate(draws):
         W[R + r, k - low:k - low + len(c)] = c
         if shift:
-            W[r, :len(c)] = c
             poly[r, k] = 1.0
         else:
             W[r, k - low] = 1.0
-            poly[r, :len(c)] = c
     out, tails = _output_of_weights(grid, W, offset=low)
     prefix = prefix_sums(out, tails, sort=True, name="mixture output")
     verdicts = decide(prefix[:R] - prefix[R:], tol, tails[:R], tails[R:])

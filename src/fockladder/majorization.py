@@ -82,12 +82,19 @@ class FockDiagonalState:
                 e + max(len(self.weights), HARD_CAP) * self.tail)
 
 
-def check_coefficients(coeffs) -> np.ndarray:
+def check_coefficient_shape(coeffs) -> np.ndarray:
     """Mixture coefficients as a float array. Raises DomainError unless they
-    form a non-empty 1-D sequence of numbers, and NormalizationError (see
-    check_rows) unless they are a finite probability distribution."""
+    form a non-empty 1-D sequence of numbers; their values are not checked."""
     c = check_array("coeffs", coeffs, 1, "a non-empty 1-D sequence of numbers")
     require(len(c) > 0, "coeffs", coeffs, "a non-empty 1-D sequence of numbers")
+    return c
+
+
+def check_coefficients(coeffs) -> np.ndarray:
+    """Mixture coefficients as a float array. Raises DomainError as
+    check_coefficient_shape, and NormalizationError (see check_rows) unless
+    they are a finite probability distribution."""
+    c = check_coefficient_shape(coeffs)
     check_rows(c[None, :], np.zeros(1), "mixture coefficients")
     return c
 
@@ -175,7 +182,11 @@ class VerdictStack:
 def check_rows(weights: np.ndarray, tails: np.ndarray, name: str) -> None:
     """Raise NormalizationError unless every row of weights, plus its tail,
     is a finite probability distribution within NORMALIZATION_TOL; the
-    message names the first failing row and the condition it fails."""
+    message names the first failing row and the condition it fails.
+
+    The rows' lowest entries are reduced with min, not read at argmin:
+    argmin copies a read-only array whole before it scans it (a grid's
+    rows are read-only), while min reads it in place."""
     tol = NORMALIZATION_TOL
     # A NaN or infinite weight or tail makes the total non-finite, and every
     # comparison with NaN is False, so one test per condition covers them.
@@ -202,15 +213,23 @@ def check_rows(weights: np.ndarray, tails: np.ndarray, name: str) -> None:
     raise NormalizationError(f"{label}: {reason}")
 
 
-def raw_prefix_sums(weights: np.ndarray, sort: bool, out=None) -> np.ndarray:
+def raw_prefix_sums(weights: np.ndarray, sort: bool, out=None,
+                    kind: str | None = None) -> np.ndarray:
     """Prefix sums of each row of weights, unvalidated, taken over the
     descending-sorted row when sort is set, else in Fock order; written
     into out when it is given. The one sort-and-sum implementation: a row's
     sums do not depend on the other rows of the stack, so a caller may
-    take a stack in blocks of rows."""
+    take a stack in blocks of rows.
+
+    kind is np.sort's: "stable" (timsort) merges the runs of a row, so it
+    is the fast sort for long unimodal rows such as a grid's, whose two
+    runs it merges once; the default (introsort) is faster on short rows
+    with no such structure. Sorting only reorders equal entries, so the
+    sums are the same bits either way, apart from the order of a -0.0 and
+    a +0.0 that lead a row with no positive entry."""
     if sort:
-        weights = np.sort(weights, axis=1)[:, ::-1]
-    return np.cumsum(weights, axis=1, out=out)
+        weights = np.sort(weights, axis=1, kind=kind)[:, ::-1]
+    return np.add.accumulate(weights, axis=1, out=out)  # np.cumsum's loop, unwrapped
 
 
 def prefix_sums(weights: np.ndarray, tails: np.ndarray, sort: bool,
@@ -231,11 +250,17 @@ def decide(margins: np.ndarray, tol: float, p_tails: np.ndarray,
     worst_slack is the most negative margin along the direction that
     decided the verdict; equivalent pairs report the smaller of the two
     directions, incomparable pairs the near miss (the larger one).
+
+    Each direction's slack is the margin read at its argmin or argmax, one
+    gather per row instead of a second reduction. It equals margins.min or
+    -margins.max; on a tie between -0.0 and +0.0, where min may return
+    either, it is the first, the entry at_index names.
     """
     i_left = margins.argmin(axis=1)
     i_right = margins.argmax(axis=1)
-    left = margins.min(axis=1)
-    right = -margins.max(axis=1)
+    at = np.arange(len(margins))
+    left = margins[at, i_left]
+    right = -margins[at, i_right]
     floor = -(tol + p_tails + q_tails)
     left_ok = left >= floor
     right_ok = right >= floor

@@ -128,15 +128,18 @@ def _initial_cutoff(params: ChannelParams, i_max: int, tail_tol: float) -> int:
 def _trim(rows: np.ndarray, tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Cut rows after the first column at which every row has kept at least
     1 - tail_tol of its mass, inside their own buffer; return the cut rows
-    and their tails.
+    and their tails. When no column meets tail_tol, rows come back uncut,
+    with the tails at their last column, whose maximum then exceeds
+    tail_tol: that decides whether the cutoff doubles.
 
     The ladder matrix only moves mass to higher n, so row i_max has the
     heaviest tail, and the cut is first guessed on the running sum of that
     row alone. Running sums round differently from the sums behind the
     tails, so the tails of all rows, recomputed at the cut, decide: the cut
     steps forward while they exceed tail_tol and back while one column less
-    still meets it. The forward steps end at the last column, whose tails
-    met tail_tol when the grid was filled.
+    still meets it. Before stepping forward, the tails at the last column
+    tell whether any column meets tail_tol, so a fill that is too short
+    costs at most two sums of the rows.
 
     No second grid is allocated: rows 1..i_max are moved left, one at a
     time, to their places in a grid of the cut width, and the buffer is
@@ -150,9 +153,13 @@ def _trim(rows: np.ndarray, tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
     short = 1.0 - np.cumsum(rows[-1]) > tail_tol
     cut = last if short.all() else int(np.argmin(short))
     tails = tails_at(cut)
-    while cut < last and tails.max() > tail_tol:
-        cut += 1
-        tails = tails_at(cut)
+    if tails.max() > tail_tol:
+        end = tails if cut == last else tails_at(last)
+        if end.max() > tail_tol:
+            return rows, end
+        while tails.max() > tail_tol:  # ends at the last column at the latest
+            cut += 1
+            tails = tails_at(cut)
     while cut > 0 and (fewer := tails_at(cut - 1)).max() <= tail_tol:
         cut, tails = cut - 1, fewer
     if cut < last:
@@ -181,10 +188,10 @@ def grid_recurrence(params: ChannelParams, i_max: int,
     The adaptive n_max is the smallest cutoff at which every row keeps at
     least 1 - tail_tol of its mass, so tails.max() <= tail_tol. The fill
     starts at a Chernoff bound on the tail of row i_max, which is never
-    below that cutoff, moves the cutoff to 2*n_max + 1 while any tail still
-    exceeds tail_tol (a safety net against rounding), and then trims the
-    rows to the first column that meets tail_tol inside the fill's own
-    buffer (see _trim), so the grid is the only grid-sized array it holds.
+    below that cutoff, and trims each fill to the first column that meets
+    tail_tol inside the fill's own buffer (see _trim), so the grid is the
+    only grid-sized array it holds. A fill with no such column (a safety
+    net against rounding) moves the cutoff to 2*n_max + 1 and fills again.
     Rows are clamped at zero in place, and only when an entry is negative;
     they own their C-contiguous data and are read-only. Passing n_max
     explicitly skips adaptation and trimming (tails are then whatever they
@@ -208,13 +215,14 @@ def grid_recurrence(params: ChannelParams, i_max: int,
                 f"pass the cell budget {CELL_BUDGET}")
         rows = recurrence_grid(params.alpha, params.beta, params.gamma,
                                params.chi, i_max, n_max)
-        tails = 1.0 - rows.sum(axis=1)
-        if not adaptive or tails.max() <= tail_tol:
+        if not adaptive:
+            tails = 1.0 - rows.sum(axis=1)
+            break
+        rows, tails = _trim(rows, tail_tol)
+        if tails.max() <= tail_tol:
+            n_max = rows.shape[1] - 1
             break
         n_max = 2 * n_max + 1
-    if adaptive:
-        rows, tails = _trim(rows, tail_tol)
-        n_max = rows.shape[1] - 1
     raw_min = min(0.0, float(rows.min()))
     if raw_min < 0.0:
         np.clip(rows, 0.0, None, out=rows)

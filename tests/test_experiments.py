@@ -9,7 +9,7 @@ from fockladder import (BinaryPattern, DomainError, FockDiagonalState, Normaliza
                         fock_compare, grid_recurrence, ladder_verify, majorize_compare,
                         make_channel, make_counterexample_corpus, mixture_shift_check,
                         mixture_vs_lowest_fock, passive_path, standard_grid)
-from fockladder import experiments, suite, transition
+from fockladder import experiments, majorization, suite, transition
 from fockladder.errors import WitnessError
 from fockladder.experiments import CorpusPair, _output_of_weights, mixture_checks
 from ladder_reference import reference_ladder
@@ -230,6 +230,38 @@ def test_mixture_rejects_negative_shift(check):
 def test_mixture_rejects_non_distribution_coefficients(check, coeffs):
     with pytest.raises(NormalizationError, match="mixture coefficients"):
         check(make_channel("amp", g=2.0, thermal_N=0.0), coeffs, 1)
+
+
+@pytest.mark.parametrize("coeffs", [[float("nan"), 1.0], [0.5, float("inf")], [-0.5, 1.5],
+                                    [0.5, 0.4], [0.25, 0.25, 0.25, 0.25, 1e-9]])
+@pytest.mark.parametrize("mode", ["shift", "lowest"])
+def test_mixture_coefficients_are_validated_once_as_a_stack(mode, coeffs, monkeypatch):
+    spec = make_channel("amp", g=2.0, thermal_N=0.0)
+    with pytest.raises(NormalizationError) as single:
+        majorization.check_coefficients(coeffs)
+    # one draw: check_coefficients' own message, from one check_rows call
+    calls = []
+    check_rows = experiments.check_rows
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return check_rows(*args)
+
+    monkeypatch.setattr(experiments, "check_rows", counted)
+    with pytest.raises(NormalizationError) as info:
+        mixture_checks(spec, mode, [(coeffs, 1)])
+    assert str(info.value) == str(single.value) and calls == [1]
+    # many draws of several lengths: one call over the zero-padded stack, and
+    # the message names the first bad draw and its reason
+    good = [([1.0], 0), ([0.5, 0.5], 2), ([0.2, 0.3, 0.1, 0.1, 0.1, 0.2], 1)]
+    calls.clear()
+    with pytest.raises(NormalizationError) as info:
+        mixture_checks(spec, mode, good + [(coeffs, 1)] + good)
+    reason = str(single.value).removeprefix("mixture coefficients: ")
+    assert str(info.value) == f"mixture coefficients[3]: {reason}" and calls == [7]
+    calls.clear()
+    mixture_checks(spec, mode, good)
+    assert calls == [3]
 
 
 @pytest.mark.parametrize("check", [mixture_shift_check, mixture_vs_lowest_fock])

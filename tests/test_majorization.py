@@ -7,7 +7,9 @@ from fockladder import (DomainError, FockDiagonalState, NormalizationError, Rela
                         abgx, apply_D_power, build_D, check_column_stochastic,
                         fock_compare, grid_recurrence, majorize_compare,
                         make_channel, mix)
+from fockladder.experiments import standard_grid
 from fockladder.kernels import ladder_matvec
+from fockladder.majorization import decide, holds_left, raw_prefix_sums
 from fockladder.transition import HARD_CAP
 
 
@@ -329,3 +331,71 @@ def test_grid_row_index_is_in_the_grid():
     for i in (-1, 4, 1.0):
         with pytest.raises(DomainError, match="^i="):
             FockDiagonalState.from_grid_row(grid, i)
+
+
+def reference_decide(margins, tol, p_tails, q_tails):
+    """decide as written with two more reductions: each slack from min or max."""
+    left, right = margins.min(axis=1), -margins.max(axis=1)
+    floor = -(tol + p_tails + q_tails)
+    left_ok, right_ok = left >= floor, right >= floor
+    use_left = np.where(left_ok == right_ok,
+                        np.where(left_ok, left <= right, left >= right), left_ok)
+    return left, right, left_ok, right_ok, use_left
+
+
+# few distinct values, so that rows tie, often at their extremes, and both zeros
+MARGIN_VALUES = st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 2e-12, -2e-12, 0.25, -0.25])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda rows: st.integers(1, 9).flatmap(
+           lambda cols: st.lists(st.lists(MARGIN_VALUES, min_size=cols, max_size=cols),
+                                 min_size=rows, max_size=rows))),
+       st.sampled_from([0.0, 1e-12, -1e-13]), st.data())
+def test_decide_reads_the_slacks_that_min_and_max_reduce(margins, tol, data):
+    margins = np.array(margins)
+    tails = st.lists(st.sampled_from([0.0, 1e-13, 1e-11]), min_size=len(margins),
+                     max_size=len(margins))
+    p_tails, q_tails = np.array(data.draw(tails)), np.array(data.draw(tails))
+    v = decide(margins, tol, p_tails, q_tails)
+    left, right, left_ok, right_ok, use_left = reference_decide(margins, tol, p_tails, q_tails)
+    # equal as numbers (a -0.0 and a +0.0 tie either way in min)
+    np.testing.assert_array_equal(v.left_slack, left)
+    np.testing.assert_array_equal(v.right_slack, right)
+    np.testing.assert_array_equal(holds_left(v.codes), left_ok)
+    np.testing.assert_array_equal(v.codes >= 2, ~left_ok)
+    np.testing.assert_array_equal(v.codes % 2 == 1, ~right_ok)
+    np.testing.assert_array_equal(v.worst_slack, np.where(use_left, left, right))
+    rows = np.arange(len(margins))
+    # the slacks are the first extreme entries, bit for bit, and at_index names them
+    assert v.left_slack.tobytes() == margins[rows, margins.argmin(axis=1)].tobytes()
+    assert v.right_slack.tobytes() == (-margins[rows, margins.argmax(axis=1)]).tobytes()
+    at = np.where(use_left, margins.argmin(axis=1), margins.argmax(axis=1))
+    np.testing.assert_array_equal(v.at_index, at)
+    signed = np.where(use_left, margins[rows, at], -margins[rows, at])
+    assert v.worst_slack.tobytes() == signed.tobytes()
+
+
+def test_decide_on_one_column_and_on_signed_zero_ties():
+    v = decide(np.array([[0.5], [-0.0], [0.0]]), 1e-12, np.zeros(3), np.zeros(3))
+    np.testing.assert_array_equal(v.at_index, [0, 0, 0])
+    assert v.left_slack.tolist() == [0.5, 0.0, 0.0] and v.right_slack.tolist() == [-0.5, 0.0, 0.0]
+    assert np.signbit(v.left_slack).tolist() == [False, True, False]
+    assert np.signbit(v.right_slack).tolist() == [True, False, True]
+    ties = np.array([[-0.0, 0.0, 1.0], [0.0, -0.0, -1.0]])
+    v = decide(ties, 1e-12, np.zeros(2), np.zeros(2))
+    # the first of the tied zeros: -0.0 in row 0, +0.0 in row 1
+    assert np.signbit(v.left_slack).tolist() == [True, True]
+    assert v.left_slack.tolist() == [0.0, -1.0] and v.right_slack.tolist() == [-1.0, -0.0]
+    assert np.signbit(v.right_slack).tolist() == [True, True]
+
+
+WIDE = [make_channel("conj", g=2.0, thermal_N=499.0), make_channel("noise", added_n=999.0)]
+
+
+@pytest.mark.parametrize("spec", standard_grid() + WIDE, ids=lambda s: s.label())
+def test_stable_and_default_sorts_give_the_same_prefix_sums(spec):
+    rows = grid_recurrence(abgx(spec), 30).rows
+    default = raw_prefix_sums(rows, sort=True)
+    stable = raw_prefix_sums(rows, sort=True, kind="stable")
+    assert stable.tobytes() == default.tobytes()

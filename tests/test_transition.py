@@ -406,7 +406,7 @@ def test_multinomial_is_independent_of_the_other_paths(monkeypatch):
 
     for module, name in ((transition, "recurrence_grid"), (transition, "grid_recurrence"),
                          (transition, "series_rectangle"), (kernels, "recurrence_grid"),
-                         (kernels, "_scan_in_place"), (kernels, "ladder_matvec")):
+                         (kernels, "_scanner"), (kernels, "ladder_matvec")):
         monkeypatch.setattr(module, name, forbidden)
     for p, row in zip(params, expect):
         assert np.abs(row_multinomial(p, 6, 40) - row).max() <= 1e-15
@@ -525,7 +525,7 @@ def test_series_is_independent_of_the_other_paths(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the series oracle used another path")
 
-    for module, name in ((kernels, "_scan_in_place"), (kernels, "recurrence_grid"),
+    for module, name in ((kernels, "_scanner"), (kernels, "recurrence_grid"),
                          (kernels, "ladder_matvec"), (transition, "recurrence_grid"),
                          (transition, "grid_recurrence"), (transition, "row_multinomial")):
         monkeypatch.setattr(module, name, forbidden)
@@ -741,3 +741,31 @@ def test_a_negative_fill_entry_is_clamped_and_reported(monkeypatch):
     grid = grid_recurrence(abgx(make_channel("amp", g=2.0, thermal_N=0.5)), 6, n_max=40)
     assert grid.raw_min == -1e-17
     assert grid.rows[3, 2] == 0.0 and grid.rows.min() == 0.0
+
+
+@pytest.mark.parametrize("spec", [make_channel("lossy", eta=0.3, thermal_N=2.0),
+                                  make_channel("amp", g=5.0, thermal_N=0.5),
+                                  make_channel("conj", g=2.0, thermal_N=2.0),
+                                  make_channel("noise", added_n=999.0)],
+                         ids=lambda s: s.family.value)
+def test_a_too_small_first_cutoff_doubles_to_the_same_grid(spec, monkeypatch):
+    # each short fill goes to _trim, whose tails at the last column miss
+    # tail_tol, so the cutoff doubles; the fill is causal in n, so the grid
+    # that meets tail_tol is trimmed to the same cut as the default one
+    p = abgx(spec)
+    expect = grid_recurrence(p, 30)
+    first = transition._initial_cutoff(p, 30, transition.DEFAULT_TAIL_TOL)
+    fill, fills = transition.recurrence_grid, []
+
+    def counted(*args):
+        fills.append(args[-1])
+        return fill(*args)
+
+    monkeypatch.setattr(transition, "_initial_cutoff", lambda *args: first // 5)
+    monkeypatch.setattr(transition, "recurrence_grid", counted)
+    got = grid_recurrence(p, 30)
+    assert fills[0] == first // 5 and len(fills) >= 2
+    assert fills[1:] == [2 * n + 1 for n in fills[:-1]]
+    assert got.n_max == expect.n_max and got.raw_min == expect.raw_min
+    assert got.rows.tobytes() == expect.rows.tobytes()
+    assert got.tails.tobytes() == expect.tails.tobytes()
