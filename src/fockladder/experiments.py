@@ -21,7 +21,8 @@ from .channel import ChannelSpec, Family, abgx, make_channel
 from .errors import SCAN_CHUNK_CELLS, WitnessError, check_index, require
 from .kernels import ladder_matvec
 from .majorization import (DEFAULT_TOL, RELATIONS, FockDiagonalState, MajorizationVerdict,
-                           VerdictStack, check_coefficient_shape, check_rows, check_tol,
+                           VerdictStack, check_coefficient_rows, check_coefficient_shape,
+                           check_rows, check_tol,
                            compare_stack, decide, holds_left, prefix_sums, raw_prefix_sums)
 from .transition import DEFAULT_TAIL_TOL, TransitionGrid, grid_recurrence
 
@@ -162,10 +163,12 @@ def mixture_checks(spec: ChannelSpec, mode: str, draws, tol: float = DEFAULT_TOL
     left one. All 2R outputs come from one 2R-row weight matrix (R left
     mixtures, then R right ones), one prefix_sums pass and one decide call,
     and each degree of D is one ladder_matvec over the R left outputs.
-    Each draw's shape is checked on its own; then one check_rows call
-    takes every draw's coefficients, zero-padded to the longest, and names
-    the first draw that is not a probability distribution (with one draw,
-    in check_coefficients' words). Raises WitnessError naming the first
+    Every draw's k and coefficient shape are checked first, draw by draw;
+    then check_coefficient_rows tests all the coefficient vectors at once
+    and names the first that is not a probability distribution (with one
+    draw, in check_coefficients' words). So a k or shape error in a later
+    draw is raised before a value error in an earlier one, and each draw's
+    verdict is the one it gets alone. Raises WitnessError naming the first
     draw that deviates beyond tol, DomainError for an unknown mode or no
     draws, and as check_index, check_coefficients and check_tol for the
     other arguments, all before any grid is built.
@@ -173,27 +176,22 @@ def mixture_checks(spec: ChannelSpec, mode: str, draws, tol: float = DEFAULT_TOL
     require(mode in ("shift", "lowest"), "mode", mode, "'shift' or 'lowest'")
     draws = [(check_index("k", k), check_coefficient_shape(c)) for c, k in draws]
     require(len(draws) > 0, "draws", draws, "at least one (coeffs, k) draw")
-    R, shift = len(draws), mode == "shift"
-    coeffs = np.zeros((R, max(len(c) for _, c in draws)))
-    for r, (_, c) in enumerate(draws):
-        coeffs[r, :len(c)] = c
-    check_rows(coeffs, np.zeros(R), "mixture coefficients")
+    check_coefficient_rows([c for _, c in draws])
     top = check_index("k + len(coeffs) - 1", max(k + len(c) - 1 for k, c in draws))
     check_tol(tol)
     grid = _ensure_grid(spec, top, grid)
+    R, shift = len(draws), mode == "shift"
     low = 0 if shift else min(k for k, _ in draws)
     W = np.zeros((2 * R, top + 1 - low))
-    if shift:
-        W[:R, :coeffs.shape[1]] = coeffs
-        poly = np.zeros((R, 1 + max(k for k, _ in draws)))
-    else:
-        poly = coeffs
+    poly = np.zeros((R, 1 + max(k if shift else len(c) - 1 for k, c in draws)))
     for r, (k, c) in enumerate(draws):
         W[R + r, k - low:k - low + len(c)] = c
         if shift:
+            W[r, :len(c)] = c
             poly[r, k] = 1.0
         else:
             W[r, k - low] = 1.0
+            poly[r, :len(c)] = c
     out, tails = _output_of_weights(grid, W, offset=low)
     prefix = prefix_sums(out, tails, sort=True, name="mixture output")
     verdicts = decide(prefix[:R] - prefix[R:], tol, tails[:R], tails[R:])

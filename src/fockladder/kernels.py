@@ -21,7 +21,6 @@ import math
 import numpy as np
 
 SCALE_BITS = 500  # chunks keep beta**-j and beta**j within 2**±SCALE_BITS
-ADD_CELLS = 1 << 16  # the most cells of ladder_matvec's alpha*v buffer (512 KiB)
 
 
 @functools.lru_cache(maxsize=4)
@@ -58,11 +57,8 @@ def _double(beta, stride, y):
         s *= 2
 
 
-@functools.lru_cache(maxsize=4)
-def _scanner(beta, n):
-    """The geometric scan of ratio beta over n entries, as a function that
-    overwrites its argument (a row or a stack of rows of n entries) and
-    returns it.
+def _scan_in_place(beta, y):
+    """Overwrite y with its geometric scan along the last axis and return it.
 
     The last axis splits into whole chunks of L = len(_scales(beta, n)[0])
     entries and a shorter tail; a row shorter than L is all tail, scanned
@@ -71,39 +67,32 @@ def _scanner(beta, n):
     multiply each one adds beta * E[b-1], where E are the true last entries
     of the chunks: the scan, of ratio beta**L, of their local last entries,
     by the doubling scan. With L = 1 (beta zero, or too small for beta**-1
-    to stay in range) the doubling scan of y is all there is. The scale
-    vectors and their tail slices are taken once per (beta, n), so a fill
-    that scans row after row derives none of them per row. The cumsum is
+    to stay in range) the doubling scan of y is all there is. The cumsum is
     np.add.accumulate, the same loop as np.cumsum without its Python
     wrapper, which costs about a fifth of a 2,000-entry row's scan.
     """
+    n = y.shape[-1]
     down, up = _scales(beta, n)
     L = len(up)
     if L == 1:
-        def scan(y):
-            _double(beta, 1, y)
-            return y
-        return scan
-    full = n - n % L
-    down_tail, up_tail = down[:n - full], up[:n - full]
-
-    def scan(y):
-        tail = y[..., full:]
-        tail *= down_tail
-        np.add.accumulate(tail, axis=-1, out=tail)
-        if full:
-            chunks = y[..., :full].reshape(y.shape[:-1] + (full // L, L))
-            chunks *= down
-            np.add.accumulate(chunks, axis=-1, out=chunks)
-            ends = chunks[..., -1] * up[-1]
-            _double(beta, L, ends)
-            ends *= beta
-            chunks[..., 1:, :] += ends[..., :-1, None]
-            chunks *= up
-            tail += ends[..., -1:]
-        tail *= up_tail
+        _double(beta, 1, y)
         return y
-    return scan
+    full = n - n % L
+    tail = y[..., full:]
+    tail *= down[:n - full]
+    np.add.accumulate(tail, axis=-1, out=tail)
+    if full:
+        chunks = y[..., :full].reshape(y.shape[:-1] + (full // L, L))
+        chunks *= down
+        np.add.accumulate(chunks, axis=-1, out=chunks)
+        ends = chunks[..., -1] * up[-1]
+        _double(beta, L, ends)
+        ends *= beta
+        chunks[..., 1:, :] += ends[..., :-1, None]
+        chunks *= up
+        tail += ends[..., -1:]
+    tail *= up[:n - full]
+    return y
 
 
 def recurrence_grid(alpha, beta, gamma, chi, i_max, n_max):
@@ -118,20 +107,19 @@ def recurrence_grid(alpha, beta, gamma, chi, i_max, n_max):
     scan, and every later row is written whole by its alpha term before
     anything reads it, so no cell is left unwritten and no zero-fill pass
     runs over the grid. The gamma term of every row goes through one
-    preallocated temporary, and the scan (see _scanner) is looked up once.
+    preallocated temporary.
     """
     rows = np.empty((i_max + 1, n_max + 1), dtype=np.float64)
-    scan = _scanner(beta, n_max + 1)
     rows[0] = 0.0
     rows[0, 0] = chi
-    scan(rows[0])
+    _scan_in_place(beta, rows[0])
     shifted = np.empty(n_max)
     for i in range(1, i_max + 1):
         prev, row = rows[i - 1], rows[i]
         np.multiply(alpha, prev, out=row)
         np.multiply(gamma, prev[:-1], out=shifted)
         row[1:] += shifted
-        scan(row)
+        _scan_in_place(beta, row)
     return rows
 
 
@@ -142,24 +130,13 @@ def ladder_matvec(alpha, beta, nu, v):
     out[k] = alpha*v[k] + nu * sum_{m>=1} beta**(m-1) * v[k-m], with as
     many entries as v; the sum is the scan of v shifted down by one,
     taken in the output buffer, which starts uninitialized with only its
-    first column zeroed. alpha*v is added with the roundings of
-    out += alpha * v, through no temporary of more than ADD_CELLS cells:
-    a larger v goes in blocks of columns through one such buffer.
+    first column zeroed.
     """
     v = np.asarray(v, dtype=np.float64)
     out = np.empty(v.shape)
     out[..., :1] = 0.0
     out[..., 1:] = v[..., :-1]
-    n = v.shape[-1]
-    _scanner(beta, n)(out)
+    _scan_in_place(beta, out)
     out *= nu
-    if v.size <= ADD_CELLS:
-        out += alpha * v
-        return out
-    step = max(1, ADD_CELLS // math.prod(v.shape[:-1]))
-    buf = np.empty(out.shape[:-1] + (min(step, n),))
-    for lo in range(0, n, step):
-        part = buf[..., :min(step, n - lo)]
-        np.multiply(alpha, v[..., lo:lo + step], out=part)
-        out[..., lo:lo + step] += part
+    out += alpha * v
     return out

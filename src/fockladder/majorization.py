@@ -99,6 +99,30 @@ def check_coefficients(coeffs) -> np.ndarray:
     return c
 
 
+def check_coefficient_rows(rows: list[np.ndarray]) -> None:
+    """Raise NormalizationError (see check_rows) unless every coefficient
+    vector in rows (1-D float arrays, as check_coefficient_shape returns)
+    is a finite probability distribution, naming the first that is not:
+    in check_coefficients' words for a single vector, as "mixture
+    coefficients[r]" among several.
+
+    Vectors of one length are tested as one stack, unpadded, so each is
+    summed exactly as it is alone and its verdict does not depend on the
+    other vectors (zero-padding a vector of 8 or more entries regroups
+    numpy's pairwise sum, which can move its total by an ulp)."""
+    by_length = {}
+    for r, c in enumerate(rows):
+        by_length.setdefault(len(c), []).append(r)
+    bad = len(rows)
+    for at in by_length.values():
+        ok = _normalized(np.array([rows[r] for r in at]), np.zeros(len(at)))[0]
+        if not ok.all():
+            bad = min(bad, at[int(np.argmin(ok))])
+    if bad < len(rows):
+        name = "mixture coefficients" if len(rows) == 1 else f"mixture coefficients[{bad}]"
+        check_rows(rows[bad][None, :], np.zeros(1), name)
+
+
 def mix(states: list[FockDiagonalState], coeffs) -> FockDiagonalState:
     """Convex combination of states, zero-padded to the longest one."""
     c = check_coefficients(coeffs)
@@ -179,6 +203,18 @@ class VerdictStack:
                                    float(self.right_slack[r]))
 
 
+def _normalized(weights: np.ndarray, tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """check_rows' test without the raise: which rows of weights, plus their
+    tails, are finite probability distributions within NORMALIZATION_TOL,
+    and the rows' totals."""
+    tol = NORMALIZATION_TOL
+    # A NaN or infinite weight or tail makes the total non-finite, and every
+    # comparison with NaN is False, so one test per condition covers them.
+    totals = weights.sum(axis=1) + tails
+    lowest = np.minimum(weights.min(axis=1, initial=0.0), tails)
+    return (abs(totals - 1.0) <= tol) & (lowest >= -tol), totals
+
+
 def check_rows(weights: np.ndarray, tails: np.ndarray, name: str) -> None:
     """Raise NormalizationError unless every row of weights, plus its tail,
     is a finite probability distribution within NORMALIZATION_TOL; the
@@ -188,11 +224,7 @@ def check_rows(weights: np.ndarray, tails: np.ndarray, name: str) -> None:
     argmin copies a read-only array whole before it scans it (a grid's
     rows are read-only), while min reads it in place."""
     tol = NORMALIZATION_TOL
-    # A NaN or infinite weight or tail makes the total non-finite, and every
-    # comparison with NaN is False, so one test per condition covers them.
-    totals = weights.sum(axis=1) + tails
-    lowest = np.minimum(weights.min(axis=1, initial=0.0), tails)
-    ok = (abs(totals - 1.0) <= tol) & (lowest >= -tol)
+    ok, totals = _normalized(weights, tails)
     if ok.all():
         return
     r = int(np.argmin(ok))

@@ -235,33 +235,38 @@ def test_mixture_rejects_non_distribution_coefficients(check, coeffs):
 @pytest.mark.parametrize("coeffs", [[float("nan"), 1.0], [0.5, float("inf")], [-0.5, 1.5],
                                     [0.5, 0.4], [0.25, 0.25, 0.25, 0.25, 1e-9]])
 @pytest.mark.parametrize("mode", ["shift", "lowest"])
-def test_mixture_coefficients_are_validated_once_as_a_stack(mode, coeffs, monkeypatch):
+def test_mixture_coefficients_are_validated_as_each_draw_alone(mode, coeffs):
     spec = make_channel("amp", g=2.0, thermal_N=0.0)
     with pytest.raises(NormalizationError) as single:
         majorization.check_coefficients(coeffs)
-    # one draw: check_coefficients' own message, from one check_rows call
-    calls = []
-    check_rows = experiments.check_rows
-
-    def counted(*args):
-        calls.append(len(args[0]))
-        return check_rows(*args)
-
-    monkeypatch.setattr(experiments, "check_rows", counted)
+    # one draw: check_coefficients' own message
     with pytest.raises(NormalizationError) as info:
         mixture_checks(spec, mode, [(coeffs, 1)])
-    assert str(info.value) == str(single.value) and calls == [1]
-    # many draws of several lengths: one call over the zero-padded stack, and
-    # the message names the first bad draw and its reason
+    assert str(info.value) == str(single.value)
+    # many draws of several lengths: the first bad draw, and its own reason
     good = [([1.0], 0), ([0.5, 0.5], 2), ([0.2, 0.3, 0.1, 0.1, 0.1, 0.2], 1)]
-    calls.clear()
     with pytest.raises(NormalizationError) as info:
-        mixture_checks(spec, mode, good + [(coeffs, 1)] + good)
+        mixture_checks(spec, mode, good + [(coeffs, 1)] + good + [(coeffs[::-1], 2)])
     reason = str(single.value).removeprefix("mixture coefficients: ")
-    assert str(info.value) == f"mixture coefficients[3]: {reason}" and calls == [7]
-    calls.clear()
+    assert str(info.value) == f"mixture coefficients[3]: {reason}"
+    # every draw's k and shape come before any draw's values
+    with pytest.raises(DomainError, match="^k="):
+        mixture_checks(spec, mode, [(coeffs, 1), ([1.0], -1)])
     mixture_checks(spec, mode, good)
-    assert calls == [3]
+
+
+def test_a_draws_coefficient_verdict_does_not_depend_on_the_other_draws(monkeypatch):
+    c = np.random.default_rng(1).dirichlet(np.ones(9))
+    uniform = np.full(16, 1 / 16)
+    padded = np.zeros(16)
+    padded[:9] = c
+    # zero-padded to 16 entries, c's pairwise sum moves off 1.0 by an ulp
+    assert c.sum() == 1.0 and np.array([padded, uniform]).sum(axis=1)[0] != 1.0
+    monkeypatch.setattr(majorization, "NORMALIZATION_TOL", 0.0)
+    majorization.check_coefficients(c)
+    majorization.check_coefficient_rows([c, uniform, c])
+    with pytest.raises(NormalizationError, match=r"^mixture coefficients\[1\]: weights\+tail"):
+        majorization.check_coefficient_rows([c, np.append(uniform, 1e-15), c])
 
 
 @pytest.mark.parametrize("check", [mixture_shift_check, mixture_vs_lowest_fock])

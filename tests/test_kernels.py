@@ -19,14 +19,9 @@ STANDARD = [abgx(spec) for spec in standard_grid()]
 STANDARD_IDS = [spec.label() for spec in standard_grid()]
 
 
-def scan_in_place(beta, y):
-    """Overwrite y with its geometric scan along the last axis; return it."""
-    return kernels._scanner(beta, y.shape[-1])(y)
-
-
 def scan(beta, x):
     """The geometric scan of a copy of x."""
-    return scan_in_place(beta, np.array(x, dtype=np.float64))
+    return kernels._scan_in_place(beta, np.array(x, dtype=np.float64))
 
 
 def fit(v, length):
@@ -40,7 +35,7 @@ def fit(v, length):
 def test_geometric_scan_is_the_first_order_recurrence():
     x = np.array([1.0, 2.0, 0.0, -1.0, 0.5])
     y = x.copy()
-    assert scan_in_place(0.5, y) is y  # scanned in place
+    assert kernels._scan_in_place(0.5, y) is y  # scanned in place
     expect = [1.0, 2.5, 1.25, -0.375, 0.3125]  # y[n] = x[n] + 0.5*y[n-1]
     np.testing.assert_array_equal(y, expect)
     np.testing.assert_array_equal(scan(0.0, x), x)
@@ -186,7 +181,7 @@ def test_scan_returns_its_input(beta, shape):
     # the reference matvec with alpha 0 and nu 1 scans its input shifted down by one
     expect = np.array([kernel_reference.ladder_matvec(0.0, beta, 1.0, np.append(row, 0.0))[1:]
                        for row in y.reshape(-1, shape[-1])]).reshape(shape)
-    assert scan_in_place(beta, y) is y
+    assert kernels._scan_in_place(beta, y) is y
     np.testing.assert_allclose(y, expect, rtol=1e-12, atol=0)
 
 
@@ -231,7 +226,6 @@ def test_grid_is_not_built_with_the_ladder_matvec(monkeypatch):
     kernels.recurrence_grid(p.alpha, p.beta, p.gamma, p.chi, 10, 50)
 
 
-
 def test_the_fill_and_the_matvec_write_every_cell_they_return(monkeypatch):
     # Both start from np.empty. With every new array NaN-filled, a cell left
     # unwritten would read NaN, or spread NaN through the scan.
@@ -242,8 +236,8 @@ def test_the_fill_and_the_matvec_write_every_cell_they_return(monkeypatch):
     fills += [(noise.alpha, noise.beta, noise.gamma, noise.chi, 8, 3000),  # one long chunk
               (amp.alpha, amp.beta, amp.gamma, amp.chi, 6, HARD_CAP),      # many chunks
               (0.4, 1e-200, 0.6, 1.0, 4, 300)]                             # the doubling scan
-    v = np.random.default_rng(5).dirichlet(np.ones(kernels.ADD_CELLS + 10), size=2)
-    stacks = [v, v[0], v[:, :50]]  # alpha*v in column blocks, and in one piece
+    v = np.random.default_rng(5).dirichlet(np.ones(3000), size=2)
+    stacks = [v, v[0], v[:, :50]]  # a stack of rows, one row, and a short one
 
     def run():
         return ([kernels.recurrence_grid(*args) for args in fills]

@@ -406,7 +406,7 @@ def test_multinomial_is_independent_of_the_other_paths(monkeypatch):
 
     for module, name in ((transition, "recurrence_grid"), (transition, "grid_recurrence"),
                          (transition, "series_rectangle"), (kernels, "recurrence_grid"),
-                         (kernels, "_scanner"), (kernels, "ladder_matvec")):
+                         (kernels, "_scan_in_place"), (kernels, "ladder_matvec")):
         monkeypatch.setattr(module, name, forbidden)
     for p, row in zip(params, expect):
         assert np.abs(row_multinomial(p, 6, 40) - row).max() <= 1e-15
@@ -525,7 +525,7 @@ def test_series_is_independent_of_the_other_paths(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the series oracle used another path")
 
-    for module, name in ((kernels, "_scanner"), (kernels, "recurrence_grid"),
+    for module, name in ((kernels, "_scan_in_place"), (kernels, "recurrence_grid"),
                          (kernels, "ladder_matvec"), (transition, "recurrence_grid"),
                          (transition, "grid_recurrence"), (transition, "row_multinomial")):
         monkeypatch.setattr(module, name, forbidden)
