@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .channel import ChannelParams, check_params
-from .errors import (HARD_CAP, NormalizationError, check_array, check_index,
+from .errors import (CELL_BUDGET, HARD_CAP, NormalizationError, check_array, check_index,
                      check_real, require)
 from .kernels import ladder_matvec
 
@@ -481,12 +481,15 @@ def apply_D_power(params: ChannelParams, k: int, v: FockDiagonalState,
     window are exact images of the retained input entries (the matrix is
     lower-triangular); mass pushed past the window joins the tail. Raises
     DomainError unless check_params accepts params, 0 <= k <= HARD_CAP and
-    len(v.weights) <= out_len <= HARD_CAP, and NormalizationError (see
-    check_rows) unless v is a finite distribution.
+    len(v.weights) <= out_len <= CELL_BUDGET, and NormalizationError (see
+    check_rows) unless v is a finite distribution. CELL_BUDGET, which
+    bounds a grid's cells, is the only bound on the one array of out_len
+    levels allocated here, so a row of any grid, even one wider than
+    HARD_CAP columns, can be carried to the grid's full width.
     """
     check_params(params)
     k = check_index("k", k)
-    out_len = check_index("out_len", out_len, len(v.weights))
+    out_len = check_index("out_len", out_len, len(v.weights), CELL_BUDGET)
     check_rows(v.weights[None, :], np.array([v.tail]), "v")
     if k == 0:
         return v

@@ -29,11 +29,16 @@ to a unit of at most 2**-136 / sum q and q to one of at most
 integer product at a width that covers i and the term mass. Every entry is
 therefore within 2**-134 (6e-41) of the exact sum before its final
 rounding. When gamma < 0 the terms alternate in sign, so one integer
-convolution sums them exactly and each entry is rounded to binary64 once. When gamma >= 0 the integer factors are
-scaled by powers of two, rounded once and convolved in binary64. The
-oracle keeps no table between calls, and it never calls the recurrence,
-the kernels or the series extraction; the series extraction in turn never
-calls the recurrence, the kernels or the closed-form sum.
+convolution sums them exactly and each entry is rounded to binary64 once.
+From 16 terms of p on, that convolution splits the integers into 16-bit
+limbs held in binary64 and forms all limb products in BLAS matrix
+products; every partial sum is an integer below 2**53, so the sums are
+exact in any order and the ints are those of the Python-int convolution
+kept for shorter p. When gamma >= 0 the integer factors are scaled by
+powers of two, rounded once and convolved in binary64. The oracle keeps no
+table between calls, and it never calls the recurrence, the kernels or the
+series extraction; the series extraction in turn never calls the
+recurrence, the kernels or the closed-form sum.
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ from itertools import accumulate, repeat
 import numpy as np
 
 from .channel import ChannelParams, ChannelSpec, Family, abgx, check_params
-from .errors import CELL_BUDGET, TruncationError, check_index, check_real, require
+from .errors import (CELL_BUDGET, SCAN_CHUNK_CELLS, TruncationError, check_index, check_real,
+                     require)
 from .errors import HARD_CAP  # noqa: F401  re-exported: callers read the index cap here
 from .kernels import recurrence_grid
 
@@ -269,7 +275,9 @@ def _fixed_point_factors(params: ChannelParams, i: int,
     fq = _GUARD_BITS + max(0, math.ceil(log_p))
 
     k = min(i, n_max)   # terms with c > n_max reach no kept column
-    binom_p = list(accumulate(range(k), lambda b, c: b * (i - c) // (c + 1), initial=1))
+    binom_p = [1]
+    for c in range(k):
+        binom_p.append(binom_p[-1] * (i - c) // (c + 1))
     spread = (math.log2(chi) + max(binom_p).bit_length() + (i + 1).bit_length()
               + i * math.log2(max(1.0, abs(alpha), abs(gamma))))
     wp = fp + max(0, math.ceil(spread)) + 1
@@ -278,10 +286,124 @@ def _fixed_point_factors(params: ChannelParams, i: int,
     shift = 2 * wp + d.bit_length() - 1 - fp
     P = [x * b * a_pow[i - c] * g_pow[c] >> shift for c, b in enumerate(binom_p)]
 
-    binom_q = list(accumulate(range(1, n_max + 1), lambda b, m: b * (i + m) // m, initial=1))
-    wq = fq + binom_q[-1].bit_length() + (n_max + 1).bit_length() + 1
-    Q = [b * t >> (wq - fq) for b, t in zip(binom_q, _running_powers(beta, n_max, wq))]
+    # C(i+m, i) and the running powers of beta (as in _running_powers) in one pass
+    wq = fq + math.comb(i + n_max, i).bit_length() + (n_max + 1).bit_length() + 1
+    m_beta, d_beta = beta.as_integer_ratio()
+    e_beta, shift = d_beta.bit_length() - 1, wq - fq
+    b, t = 1, 1 << wq
+    Q = [t >> shift]
+    for m in range(1, n_max + 1):
+        b = b * (i + m) // m
+        t = t * m_beta >> e_beta
+        Q.append(b * t >> shift)
     return P, fp, Q, fq
+
+
+# Where row_multinomial's signed rows take the limb product. Below
+# _LIMB_MIN_TERMS terms of p the object convolution is kept: the limb
+# product costs about 90 us before its first column, and more in the first
+# signed row after a grid fill, which finds its code and buffers out of
+# cache. Called back to back on oracle_audit's rows (101 columns of 150- to
+# 220-bit factors; 2 vCPUs, OpenBLAS 0.3.31), its median time over the
+# object convolution's was 1.12 at 9 terms, 0.98 at 11, 0.91 at 12 and 0.78
+# at 16. From 12 terms on, the cold first limb row of a channel in the
+# workload's own order was up to 1.15 times slower than the object-only
+# oracle; from 16 on, no row was. Factors wider than _LIMB_BAND limbs also
+# stay on the object path, though the limb product was faster at every
+# width measured (up to 501 limbs): up to 90 limbs one column's skewed
+# buffer (lp * (lp + lq - 1) cells) fits SCAN_CHUNK_CELLS, and
+# (HARD_CAP + 1) * 90 < 2**21 keeps every limb sum exact for any row (see
+# _exact_convolution).
+_LIMB_MIN_TERMS = 16
+_LIMB_BAND = 90
+
+
+def _limb_counts(P: list[int], Q: list[int]) -> tuple[int, int]:
+    """16-bit limbs per entry of P, one bit of it a sign, and of Q >= 0."""
+    return max(map(int.bit_length, P)) // 16 + 1, max(1, -(-max(map(int.bit_length, Q)) // 16))
+
+
+def _limbs(values: list[int], count: int) -> np.ndarray:
+    """Integers in [0, 2**(16*count)) as rows of count 16-bit limbs, least
+    significant first (a read-only view of their bytes)."""
+    raw = b"".join(map(int.to_bytes, values, repeat(2 * count), repeat("little")))
+    return np.frombuffer(raw, "<u2").reshape(len(values), count)
+
+
+def _exact_convolution(P: list[int], Q: list[int], n_out: int) -> list[int]:
+    """conv[n] = sum_c P[c] * Q[n-c] for n < n_out as exact Python ints,
+    Q[m] taken as 0 past its end, for integers P of either sign and Q >= 0.
+
+    Each integer is split into 16-bit limbs: lq per entry of Q, and lp per
+    entry of P in offset binary, so that its top limb is signed and in
+    [-2**15, 2**15). conv[n] = sum_s T[s, n] * 2**(16*s), where T[s, n] sums
+    the limb products pl[c, a] * ql[n-c, b] with a + b = s. For a block of
+    output columns, one BLAS matrix product of P's limbs with a windowed
+    copy of Q's limbs, both in binary64, forms every sum over c, and a
+    skewed buffer adds the diagonals a + b = s. Each block's window and
+    buffer hold at most SCAN_CHUNK_CELLS cells (at least one column). The
+    blocks run in groups whose digits fit that budget; each group takes the
+    limbs of its own stretch of Q and is rebuilt into ints before the next,
+    so no array grows with n_out.
+
+    The sums are exact whatever the summation order: every limb product is
+    an integer below 2**32 in size, so while len(P) * min(lp, lq) < 2**21
+    (the caller's duty) every partial sum, in any order, blocking or fused
+    multiply-add, is an integer below 2**53, which binary64 holds exactly.
+    Each T[s, n] plus 2**53 is then split into 16-bit pieces and carried
+    into base-2**16 digits in int32, and each output's digits are read back
+    as one int, less the bias sum_s 2**53 * 2**(16*s). The result is the
+    same int the object convolution gives."""
+    K = len(P)
+    lp, lq = _limb_counts(P, Q)
+    span = lp + lq - 1                 # limb positions of a product
+    width = span + 3                   # digits per output: room for the bias and the carries
+    cols = max(1, SCAN_CHUNK_CELLS // max(K * lq, lp * span))
+    blocks = max(1, -(-n_out // cols))
+    cols = max(1, -(-n_out // blocks))   # balanced: less than one column of padding per block
+    group = cols * max(1, SCAN_CHUNK_CELLS // (width * cols))
+    n_pad = blocks * cols
+
+    # [a, c'] = limb a of P[K-1-c'], the top one signed
+    p_rev = _limbs([v + (1 << (16 * lp - 1)) for v in P], lp)[::-1].T.astype(np.float64, order="C")
+    p_rev[-1] -= 1 << 15
+    diag = np.zeros((lp, span, cols))
+    step = diag.itemsize
+    # [a, b*cols + j] = diag[a, a + b, j]; the rest of diag stays 0
+    skew = np.ndarray((lp, lq * cols), np.float64, diag, 0, ((span + 1) * cols * step, step))
+    bias = (1 << 53) * ((1 << (16 * span)) - 1) // 0xFFFF
+
+    conv: list[int] = []
+    for g0 in range(0, n_pad, group):
+        g = min(group, n_pad - g0)
+        # the group's window reads Q[g0-K+1 .. g0+g-1], zeros outside Q[:n_out]
+        first = g0 - (K - 1)
+        lo = max(0, first)
+        hi = max(lo, min(len(Q), n_out, g0 + g))
+        q_pad = np.zeros((lq, K - 1 + g), "<u2")
+        q_pad[:, lo - first:hi - first] = _limbs(Q[lo:hi], lq).T
+        # [c', b, n] = q_pad[b, n + c'] = limb b of Q[g0 + n - (K-1-c')]
+        window = np.ndarray((K, lq, g), "<u2", q_pad, 0, (2, q_pad.strides[0], 2))
+        digits = np.empty((g, span))
+        for n0 in range(0, g, cols):
+            block = window[:, :, n0:n0 + cols].astype(np.float64, order="C")
+            np.matmul(p_rev, block.reshape(K, lq * cols), out=skew)
+            np.add.reduce(diag, axis=0, out=digits[n0:n0 + cols].T)
+        e = np.zeros((g, width), "<i8")
+        e[:, :span] = digits
+        e[:, :span] += 1 << 53
+        # piece k of e[t] weighs 2**(16*(t+k)); each output's value is below
+        # 2**(16*span + 39) <= 2**(16*width), so no carry crosses into the next
+        pieces = e.view("<u2").reshape(-1)
+        f = pieces[0::4].astype(np.int32)
+        for k in (1, 2, 3):
+            f[k:] += pieces[k::4][:-k]
+        while (carry := f >> 16).any():
+            f &= 0xFFFF
+            f[1:] += carry[:-1]
+        fields = f.astype("<u2").view(f"V{2 * width}").tolist()
+        conv += [v - bias for v in map(int.from_bytes, fields, repeat("little"))]
+    return conv[:n_out]
 
 
 def row_multinomial(params: ChannelParams, i: int, n_max: int) -> np.ndarray:
@@ -318,12 +440,22 @@ def row_multinomial(params: ChannelParams, i: int, n_max: int) -> np.ndarray:
     binary64 (terms grow like (sum |p|) * (sum q) while the result stays
     below 1). There one integer convolution of the kept outputs sums the
     terms exactly, and each entry is rounded to binary64 once, by a
-    correctly rounded division by 2**(fp+fq): the values come from integer
-    arithmetic alone, so they do not depend on numpy's SIMD dispatch. With
-    gamma >= 0 every term is nonnegative. Each factor is scaled by a power
-    of two to a maximum in [1/2, 1] and rounded to binary64 once, by a
-    correctly rounded integer division, which cannot overflow where the
-    integers pass 2**1024. The factors are convolved in binary64 (by
+    correctly rounded division by 2**(fp+fq). With 16 or more terms of p
+    and both factors at most 90 limbs (1440 bits) wide, the convolution is
+    _exact_convolution's 16-bit-limb product: its BLAS matrix products sum
+    integers below 2**53 in binary64, exact in any order, and it returns
+    the same ints as the object-dtype np.convolve that shorter p and wider
+    factors take. Below 16 terms the object convolution is as fast or
+    faster (the limb product costs about 90 us before its first column,
+    more when its code is out of cache); a row of 101 columns of 150- to
+    220-bit factors takes about 0.8 of the object time at 16 terms and
+    about half at 41, and row 30 of noise(999) to n = 3999 takes 2.6x less.
+    Either way the values come from integer arithmetic alone, so they do
+    not depend on the BLAS kernel or numpy's SIMD dispatch. With gamma >= 0
+    every term is nonnegative. Each factor is scaled by a power of two to a
+    maximum in [1/2, 1] and rounded to binary64 once, by a correctly
+    rounded integer division, which cannot overflow where the integers
+    pass 2**1024. The factors are convolved in binary64 (by
     np.convolve, whose dot product runs in BLAS) and scaled back by one
     np.ldexp, exact above 2**-1022. Every product p[c] * q[m] is itself a
     term of the row, so the result cannot overflow.
@@ -332,9 +464,12 @@ def row_multinomial(params: ChannelParams, i: int, n_max: int) -> np.ndarray:
     i, n_max = check_index("i", i), check_index("n_max", n_max)
     P, fp, Q, fq = _fixed_point_factors(params, i, n_max)
     if min(params.alpha, params.gamma) < 0.0:
-        # output n is P . Q[n-k..n] reversed; zeros stand in for q[m < 0]
-        conv = np.convolve(np.array([0] * (len(P) - 1) + Q, dtype=object),
-                           np.array(P, dtype=object), mode="valid")
+        if len(P) >= _LIMB_MIN_TERMS and max(_limb_counts(P, Q)) <= _LIMB_BAND:
+            conv = np.array(_exact_convolution(P, Q, n_max + 1), dtype=object)
+        else:
+            # output n is P . Q[n-k..n] reversed; zeros stand in for q[m < 0]
+            conv = np.convolve(np.array([0] * (len(P) - 1) + Q, dtype=object),
+                               np.array(P, dtype=object), mode="valid")
         return (conv / (1 << (fp + fq))).astype(np.float64)
     sp, sq = max(P).bit_length(), max(Q).bit_length()
     top_p, top_q = 1 << sp, 1 << sq

@@ -7,6 +7,7 @@ from fockladder import (DomainError, FockDiagonalState, NormalizationError, Rela
                         abgx, apply_D_power, build_D, check_column_stochastic,
                         fock_compare, grid_recurrence, majorize_compare,
                         make_channel, mix)
+from fockladder.errors import CELL_BUDGET
 from fockladder.experiments import standard_grid
 from fockladder.kernels import ladder_matvec
 from fockladder.majorization import decide, holds_left, raw_prefix_sums
@@ -235,6 +236,18 @@ def test_power_transitivity_between_rows():
         assert np.abs(out.weights - grid.rows[i]).max() <= 1e-12
 
 
+def test_power_carries_a_row_wider_than_the_index_cap():
+    # noise(999) at i_max 12 needs 23,274 columns, past HARD_CAP; the output
+    # window is bounded by CELL_BUDGET, as the grid is
+    params = abgx(make_channel("noise", added_n=999.0))
+    grid = grid_recurrence(params, 12)
+    assert grid.n_max + 1 > HARD_CAP
+    out = apply_D_power(params, 3, FockDiagonalState.from_grid_row(grid, 2),
+                        out_len=grid.n_max + 1)
+    assert len(out.weights) == grid.n_max + 1
+    assert np.abs(out.weights - grid.rows[5]).max() <= 1e-11
+
+
 def test_ladder_consistency_up_to_fifty():
     for spec in (make_channel("lossy", eta=0.3, thermal_N=2.0),
                  make_channel("amp", g=1.2, thermal_N=2.0)):
@@ -307,7 +320,7 @@ def test_energy_bounds_of_a_row_longer_than_the_index_cap():
 @pytest.mark.parametrize("call", [
     lambda p, s: build_D(p, HARD_CAP + 1), lambda p, s: build_D(p, 0),
     lambda p, s: build_D(p, 10**11), lambda p, s: build_D(p, 4.0),
-    lambda p, s: apply_D_power(p, 1, s, HARD_CAP + 1),
+    lambda p, s: apply_D_power(p, 1, s, CELL_BUDGET + 1),
     lambda p, s: apply_D_power(p, 1.0, s, 4), lambda p, s: apply_D_power(p, True, s, 4),
     lambda p, s: build_D(p, 513).to_csv(),
     lambda p, s: mix([s, s], [1.0]),

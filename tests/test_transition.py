@@ -477,6 +477,45 @@ def test_fixed_point_factors_are_within_their_units(spec, i, n_max):
         assert abs(math.comb(i + m, i) * beta ** m * 2 ** fq - v) <= 1.5
 
 
+def accumulate_factors(params, i, n_max):
+    """_fixed_point_factors as it was built from three accumulate passes
+    (the binomials of p, those of q, and the running powers of beta)."""
+    from itertools import accumulate
+    alpha, beta, gamma, chi = params.alpha, params.beta, params.gamma, params.chi
+    mass = abs(alpha) + abs(gamma)
+    log_p = math.log2(chi) + (i * math.log2(mass) if mass else 0.0)
+    log_q = -(i + 1) * math.log2(1.0 - beta)
+    fp = transition._GUARD_BITS + math.ceil(log_q)
+    fq = transition._GUARD_BITS + max(0, math.ceil(log_p))
+    k = min(i, n_max)
+    binom_p = list(accumulate(range(k), lambda b, c: b * (i - c) // (c + 1), initial=1))
+    spread = (math.log2(chi) + max(binom_p).bit_length() + (i + 1).bit_length()
+              + i * math.log2(max(1.0, abs(alpha), abs(gamma))))
+    wp = fp + max(0, math.ceil(spread)) + 1
+    a_pow = transition._running_powers(alpha, i, wp)
+    g_pow = transition._running_powers(gamma, k, wp)
+    x, d = chi.as_integer_ratio()
+    shift = 2 * wp + d.bit_length() - 1 - fp
+    P = [x * b * a_pow[i - c] * g_pow[c] >> shift for c, b in enumerate(binom_p)]
+    binom_q = list(accumulate(range(1, n_max + 1), lambda b, m: b * (i + m) // m, initial=1))
+    wq = fq + binom_q[-1].bit_length() + (n_max + 1).bit_length() + 1
+    Q = [b * t >> (wq - fq) for b, t in zip(binom_q, transition._running_powers(beta, n_max, wq))]
+    return P, fp, Q, fq
+
+
+@pytest.mark.parametrize("spec, i, n_max", [
+    *((s, i, 100) for s in standard_grid()[::5] for i in (0, 1, 17, 40)),
+    (make_channel("conj", g=5.0, thermal_N=2.0), 1000, 100),
+    (make_channel("noise", added_n=999.0), 30, 3999),
+    (make_channel("amp", g=200.0, thermal_N=0.0), 200, 3000),
+    (make_channel("lossy", eta=0.7, thermal_N=0.5), 60, 30),
+    (make_channel("lossy", eta=0.5, thermal_N=1.0), 7, 0),
+])
+def test_fixed_point_factors_equal_the_accumulate_form(spec, i, n_max):
+    p = abgx(spec)
+    assert transition._fixed_point_factors(p, i, n_max) == accumulate_factors(p, i, n_max)
+
+
 def test_closed_form_rows_past_binary64_integers_stay_finite():
     # amp(200, 0) has beta 0.995 and gamma >= 0: at i = 200 the term mass
     # sum q = 200**201 is about 2**1536 and q's integers pass 2**1024. The
