@@ -15,6 +15,7 @@ distribution for input Fock state i-1 onto the one for input i.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -73,13 +74,11 @@ class FockDiagonalState:
         return float(np.arange(len(self.weights)) @ self.weights)
 
     def energy_bounds(self) -> tuple[float, float]:
-        """Interval containing the true energy: tail mass sits somewhere
-        between index len(weights) and HARD_CAP, used as an upper flag. A
-        grid row may hold more than HARD_CAP levels; its flag is its length,
-        so the interval never inverts."""
-        e = self.energy
-        return (e + len(self.weights) * self.tail,
-                e + max(len(self.weights), HARD_CAP) * self.tail)
+        """Interval containing the true energy: tail mass sits at index
+        len(weights) or beyond, with no upper limit, so the upper end is
+        inf when the tail is positive."""
+        lo = self.energy + len(self.weights) * self.tail
+        return lo, (math.inf if self.tail > 0.0 else lo)
 
 
 def check_coefficient_shape(coeffs) -> np.ndarray:

@@ -12,13 +12,14 @@ recompute single rows: ``row_multinomial`` evaluates the closed-form
 trinomial-expansion sum, and ``row_series`` extracts coefficients of
 h(x, z) from ``series_rectangle``. That sums h = chi*U/(1 - nu*x*z*U),
 U = 1/((1 - alpha*x)(1 - beta*z)), as the separable terms
-nu**k (x*z)**k U**(k+1). Their one-variable factors come from iterated
-truncated multiplication with 1/(1 - alpha*x) and 1/(1 - beta*z), in the
-oracle's own sequential scans. Each z-factor is scaled to a maximum of 1
-and the scale is carried into its x-factor. One matrix product then adds
-all terms. ``analytic_special`` supplies textbook laws for the physically
-solvable corners, evaluated in decimal arithmetic so that no binomial
-coefficient is converted to binary64.
+nu**k (x*z)**k U**(k+1). Their one-variable factors have closed-form
+binomial-times-power coefficients, and each factor row comes from the
+previous one by the coefficients' ratio in one or two numpy operations.
+Each z-factor is scaled to a maximum of 1 and the scale is carried into
+its x-factor. One matrix product then adds all terms. ``analytic_special``
+supplies textbook laws for the physically solvable corners, evaluated in
+decimal arithmetic so that no binomial coefficient is converted to
+binary64.
 
 The trinomial coefficient factors exactly as C(i, c) * C(i+n-c, i), so
 ``row_multinomial`` evaluates each row as one convolution of two
@@ -35,10 +36,13 @@ limbs held in binary64 and forms all limb products in BLAS matrix
 products; every partial sum is an integer below 2**53, so the sums are
 exact in any order and the ints are those of the Python-int convolution
 kept for shorter p. When gamma >= 0 the integer factors are scaled by
-powers of two, rounded once and convolved in binary64. The oracle keeps no
-table between calls, and it never calls the recurrence, the kernels or the
-series extraction; the series extraction in turn never calls the
-recurrence, the kernels or the closed-form sum.
+powers of two, rounded once and convolved in binary64 in a fixed order of
+numpy's own, so no BLAS kernel or SIMD target moves a bit of either
+branch. Every rounding of an integer to binary64 is one correctly rounded
+step (_rounded). The oracle keeps no table between calls, and it never
+calls the recurrence, the kernels or the series extraction; the series
+extraction in turn never calls the recurrence, the kernels or the
+closed-form sum.
 """
 
 from __future__ import annotations
@@ -406,6 +410,41 @@ def _exact_convolution(P: list[int], Q: list[int], n_out: int) -> list[int]:
     return conv[:n_out]
 
 
+def _rounded(ints, s: int) -> np.ndarray:
+    """ints / 2**s correctly rounded to binary64, for Python ints and s >= 0.
+
+    CPython rounds an int to binary64 correctly (half to even), and while
+    s <= 1022 any nonzero quotient of an int is at least 2**-1022, a normal
+    number, so the exact np.ldexp keeps that rounding. Larger s, and ints
+    that do not fit binary64, take the correctly rounded int division."""
+    ints = np.asarray(ints, dtype=object)
+    if s <= 1022:
+        try:
+            return np.ldexp(ints.astype(np.float64), -s)
+        except OverflowError:
+            pass
+    return (ints / (1 << s)).astype(np.float64)
+
+
+def _float_convolution(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """conv[n] = sum_c p[c] * q[n-c] for n < len(q) (len(p) <= len(q)),
+    summed in one fixed order: row n of a strided window over q padded with
+    len(p) - 1 leading zeros, times p reversed, is added by numpy's pairwise
+    sum(axis=1). Elementwise products and that sum give the same bits under
+    any BLAS kernel or SIMD target, where np.convolve's dot product does
+    not. The windows are taken in blocks of at most SCAN_CHUNK_CELLS cells
+    (at least one row), so no temporary grows with len(p) * len(q)."""
+    K, n_out = len(p), len(q)
+    q_pad = np.zeros(K - 1 + n_out)
+    q_pad[K - 1:] = q
+    window = np.ndarray((n_out, K), np.float64, q_pad, 0, (q_pad.itemsize, q_pad.itemsize))
+    rows = max(1, SCAN_CHUNK_CELLS // K)
+    conv = np.empty(n_out)
+    for n0 in range(0, n_out, rows):
+        (window[n0:n0 + rows] * p[::-1]).sum(axis=1, out=conv[n0:n0 + rows])
+    return conv
+
+
 def row_multinomial(params: ChannelParams, i: int, n_max: int) -> np.ndarray:
     """Closed-form oracle for row i: expanding the generating function as a
     geometric series in (alpha*x + beta*z + gamma*x*z) gives
@@ -439,79 +478,75 @@ def row_multinomial(params: ChannelParams, i: int, n_max: int) -> np.ndarray:
     With gamma < 0 (or a raw alpha < 0) the sum alternates and cancels in
     binary64 (terms grow like (sum |p|) * (sum q) while the result stays
     below 1). There one integer convolution of the kept outputs sums the
-    terms exactly, and each entry is rounded to binary64 once, by a
-    correctly rounded division by 2**(fp+fq). With 16 or more terms of p
+    terms exactly, and each entry is rounded to binary64 once, correctly,
+    as the quotient by 2**(fp+fq) (see _rounded). With 16 or more terms of p
     and both factors at most 90 limbs (1440 bits) wide, the convolution is
     _exact_convolution's 16-bit-limb product: its BLAS matrix products sum
     integers below 2**53 in binary64, exact in any order, and it returns
     the same ints as the object-dtype np.convolve that shorter p and wider
-    factors take. Below 16 terms the object convolution is as fast or
-    faster (the limb product costs about 90 us before its first column,
-    more when its code is out of cache); a row of 101 columns of 150- to
-    220-bit factors takes about 0.8 of the object time at 16 terms and
-    about half at 41, and row 30 of noise(999) to n = 3999 takes 2.6x less.
-    Either way the values come from integer arithmetic alone, so they do
-    not depend on the BLAS kernel or numpy's SIMD dispatch. With gamma >= 0
-    every term is nonnegative. Each factor is scaled by a power of two to a
-    maximum in [1/2, 1] and rounded to binary64 once, by a correctly
-    rounded integer division, which cannot overflow where the integers
-    pass 2**1024. The factors are convolved in binary64 (by
-    np.convolve, whose dot product runs in BLAS) and scaled back by one
-    np.ldexp, exact above 2**-1022. Every product p[c] * q[m] is itself a
-    term of the row, so the result cannot overflow.
+    factors take (_LIMB_MIN_TERMS says why 16). Either way the values come
+    from integer arithmetic alone, so they do not depend on the BLAS kernel
+    or numpy's SIMD dispatch. With gamma >= 0 every term is nonnegative.
+    Each factor is scaled by a power of two to a maximum in [1/2, 1] and
+    rounded to binary64 once, correctly, which cannot overflow where the
+    integers pass 2**1024. The factors are convolved in binary64 by
+    _float_convolution, elementwise products and a pairwise sum in a fixed
+    order, so these rows too are the same under any BLAS kernel or SIMD
+    target; one np.ldexp, exact above 2**-1022, scales them back. Every
+    product p[c] * q[m] is itself a term of the row, so the result cannot
+    overflow.
     """
     check_params(params)
     i, n_max = check_index("i", i), check_index("n_max", n_max)
     P, fp, Q, fq = _fixed_point_factors(params, i, n_max)
     if min(params.alpha, params.gamma) < 0.0:
         if len(P) >= _LIMB_MIN_TERMS and max(_limb_counts(P, Q)) <= _LIMB_BAND:
-            conv = np.array(_exact_convolution(P, Q, n_max + 1), dtype=object)
+            conv = _exact_convolution(P, Q, n_max + 1)
         else:
             # output n is P . Q[n-k..n] reversed; zeros stand in for q[m < 0]
             conv = np.convolve(np.array([0] * (len(P) - 1) + Q, dtype=object),
                                np.array(P, dtype=object), mode="valid")
-        return (conv / (1 << (fp + fq))).astype(np.float64)
+        return _rounded(conv, fp + fq)
     sp, sq = max(P).bit_length(), max(Q).bit_length()
-    top_p, top_q = 1 << sp, 1 << sq
-    p_scaled = np.array([v / top_p for v in P])
-    q_scaled = np.array([v / top_q for v in Q])
-    return np.ldexp(np.convolve(p_scaled, q_scaled)[:n_max + 1], sp + sq - fp - fq)
+    conv = _float_convolution(_rounded(P, sp), _rounded(Q, sq))
+    return np.ldexp(conv, sp + sq - fp - fq)
 
 
 def series_rectangle(params: ChannelParams, i_max: int, n_max: int) -> np.ndarray:
     """Coefficients of h(x, z) on the rectangle [0..i_max] x [0..n_max] as a
-    sum of separable terms, built by iterated truncated multiplication of
-    geometric series.
+    sum of separable terms with closed-form factors.
 
     With U = 1/((1 - alpha*x)(1 - beta*z)), h = chi*U/(1 - nu*x*z*U) =
     chi * sum_k nu**k (x*z)**k U**(k+1), and U**(k+1) factors, so the
     rectangle is one matrix product chi * A.T @ B over k <= min(i_max, n_max):
-    A[k] holds the coefficients of nu**k x**k/(1 - alpha*x)**(k+1), B[k]
-    those of z**k/(1 - beta*z)**(k+1). Each factor row is the previous one
-    shifted by one power and scanned once with 1/(1 - alpha*x) or
-    1/(1 - beta*z). Every term is nonnegative, so this is stable for all four
-    families. Each B[k] is scaled to a maximum of 1, the factor carried into
-    A[k]; as A[k, a] * B[k, b] <= h[a, b] / chi, neither overflows. Uses
-    none of the recurrence, the kernels or the closed-form sum. Raises
-    DomainError for params that check_params rejects and for a rectangle of
-    more than CELL_BUDGET cells.
+    B[k, b] is the coefficient C(b, k) beta**(b-k) of z**k/(1 - beta*z)**(k+1)
+    and A[k, a] that of nu**k x**k/(1 - alpha*x)**(k+1). Rows 0 are running
+    products of alpha and beta. Row k comes from row k-1 by the ratio of
+    those coefficients, B[k, b] = B[k-1, b-1] * b/k and A[k, a] =
+    A[k-1, a-1] * a/k * nu, one or two numpy operations per row. Every term
+    is nonnegative, so this is stable for all four families. Each B[k] is
+    scaled to a maximum of 1, the factor carried into A[k]; as
+    A[k, a] * B[k, b] <= h[a, b] / chi, neither overflows. Uses none of the
+    recurrence, the kernels or the closed-form sum. Raises DomainError for
+    params that check_params rejects and for a rectangle of more than
+    CELL_BUDGET cells.
     """
     check_params(params)
     i_max = check_index("i_max", i_max)
     n_max = _check_cells(i_max, n_max)
-
-    def times_geometric(row: list[float], ratio: float) -> np.ndarray:
-        return np.fromiter(accumulate(row, lambda acc, v: v + ratio * acc), float, len(row))
-
-    A = [times_geometric([1.0] + [0.0] * i_max, params.alpha)]
-    B = [times_geometric([1.0] + [0.0] * n_max, params.beta)]
-    for _ in range(min(i_max, n_max)):
-        b = times_geometric([0.0] + B[-1][:-1].tolist(), params.beta)
-        top = b.max()
-        B.append(b / top)
-        A.append(times_geometric([0.0] + (params.nu * top * A[-1][:-1]).tolist(),
-                                 params.alpha))
-    return params.chi * (np.array(A).T @ np.array(B))
+    K = min(i_max, n_max)
+    A, B = np.zeros((K + 1, i_max + 1)), np.zeros((K + 1, n_max + 1))
+    for row, ratio in ((A[0], params.alpha), (B[0], params.beta)):
+        row[0], row[1:] = 1.0, ratio
+        np.multiply.accumulate(row, out=row)
+    a, b = np.arange(i_max + 1.0), np.arange(n_max + 1.0)
+    for k in range(1, K + 1):
+        row = B[k, k:]   # entries b < k are 0
+        np.multiply(B[k - 1, k - 1:-1], b[k:] / k, out=row)
+        top = float(row.max())
+        row /= top
+        np.multiply(A[k - 1, k - 1:-1], a[k:] * (params.nu * top / k), out=A[k, k:])
+    return params.chi * (A.T @ B)
 
 
 def row_series(params: ChannelParams, i: int, n_max: int) -> np.ndarray:

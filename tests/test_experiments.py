@@ -346,6 +346,19 @@ def test_search_skips_tail_ambiguous_energy_pairs():
     assert findings.n_energy_pairs == 0
 
 
+def test_search_skips_a_pair_whose_small_tail_could_still_reverse_the_energy_order():
+    # rho's tail of 1e-6 lies beyond level 1 with no upper limit, so its
+    # energy may pass sigma's 1.0: the pair is skipped, not decided
+    rho = FockDiagonalState.from_weights([0.5, 0.5 - 1e-6], tail=1e-6)
+    sigma = FockDiagonalState.from_weights([0.0, 1.0])
+    assert rho.energy_bounds()[1] == math.inf > sigma.energy
+    corpus = [CorpusPair(rho, sigma, "energy", "small-tail"),
+              CorpusPair(FockDiagonalState.from_weights([0.5, 0.5]), sigma, "energy", "no-tail")]
+    findings = counterexample_search(make_channel("lossy", eta=0.5, thermal_N=0.0), corpus)
+    assert findings.n_skipped == 1
+    assert findings.n_energy_pairs == 1
+
+
 def test_search_carries_input_tails_into_output_tails():
     # each input keeps 0.1 beyond its weights; an output tail without that
     # mass leaves the output summing to 0.9

@@ -17,6 +17,7 @@ from fockladder.errors import CELL_BUDGET
 from fockladder.transition import HARD_CAP
 from fockladder.channel import ChannelParams
 from multinomial_reference import reference_row
+from series_reference import reference_rectangle
 
 IDENTITY = ChannelParams(alpha=0.0, beta=0.0, gamma=1.0, chi=1.0, nu=1.0)
 
@@ -572,17 +573,52 @@ def test_series_is_independent_of_the_other_paths(monkeypatch):
         assert np.abs(series_rectangle(p, 12, 80) - rows).max() <= 1e-15
 
 
-@pytest.mark.parametrize("spec, i_max, n_max", [
+SERIES_EXTREMES = pytest.mark.parametrize("spec, i_max, n_max", [
     (make_channel("conj", g=2.0, thermal_N=99.0), 300, 6000),
     (make_channel("amp", g=50.0, thermal_N=0.5), 200, 6000),
     (make_channel("lossy", eta=0.5, thermal_N=1e-320), 40, 200),   # subnormal beta
 ], ids=["conj-g2-N99", "amp-g50-N0.5", "lossy-subnormal-beta"])
+
+
+@SERIES_EXTREMES
 def test_series_stays_finite_at_extremes(spec, i_max, n_max):
     # unscaled factors overflow to inf * 0 = NaN in the first two cases
     p = abgx(spec)
     rect = series_rectangle(p, i_max, n_max)
     assert np.isfinite(rect).all()
     assert np.abs(rect - grid_recurrence(p, i_max, n_max=n_max).rows).max() <= 1e-12
+
+
+# The closed-form factor rows and the reference's sequential scans round
+# differently, each entry a few ulps of its own size (and of the rectangle's
+# largest entry, at most 1).
+@pytest.mark.parametrize("spec", standard_grid(), ids=lambda s: s.label())
+def test_series_matches_the_scan_reference_on_the_standard_channels(spec):
+    p = abgx(spec)
+    n_max = grid_recurrence(p, 40).n_max
+    rect = series_rectangle(p, 40, n_max)
+    assert np.abs(rect - reference_rectangle(p, 40, n_max)).max() <= 1e-15
+
+
+@SERIES_EXTREMES
+def test_series_matches_the_scan_reference_at_extremes(spec, i_max, n_max):
+    p = abgx(spec)
+    rect = series_rectangle(p, i_max, n_max)
+    assert np.abs(rect - reference_rectangle(p, i_max, n_max)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("spec, zero", [
+    (make_channel("amp", g=2.0, thermal_N=0.0), "alpha"),
+    (make_channel("lossy", eta=0.5, thermal_N=0.0), "beta"),
+    (make_channel("lossy", eta=0.0, thermal_N=1.0), "nu"),
+    (make_channel("lossy", eta=1.0, thermal_N=0.5), "alpha"),   # the identity: beta = 0 too
+], ids=["alpha-0", "beta-0", "nu-0", "identity"])
+def test_series_matches_the_scan_reference_where_a_parameter_is_zero(spec, zero):
+    p = abgx(spec)
+    assert getattr(p, zero) == 0.0
+    for i_max, n_max in ((0, 0), (5, 3), (3, 5), (40, 60)):
+        rect = series_rectangle(p, i_max, n_max)
+        assert np.abs(rect - reference_rectangle(p, i_max, n_max)).max() <= 1e-15
 
 
 def channel_at_beta(family, beta, u):
