@@ -229,10 +229,10 @@ def mixture_vs_lowest_fock(spec: ChannelSpec, coeffs, k: int, tol: float = DEFAU
 
 MAX_SCAN_LENGTH = 16
 # Consecutive groups of patterns are merged into spans of at most
-# SCAN_CHUNK_CELLS cells, each decided in one prefix_sums and one decide
-# call; a larger group is done in row chunks of this size. Temporaries
-# beyond the chunks are two arrays the size of the largest group,
-# C(L, L//2) x width floats (62 MiB at L = 16, width 314).
+# SCAN_CHUNK_CELLS cells; a larger group is done in row chunks of this
+# size (see _decide_plan). Temporaries beyond the chunks are two arrays
+# the size of the largest group, C(L, L//2) x width floats (62 MiB at
+# L = 16, width 314).
 
 
 def _passive_move(code):
@@ -402,9 +402,18 @@ def _decide_plan(grid: TransitionGrid, plan: _ScanPlan, tol: float):
     its highest level: the rows accumulate in ascending level order, as
     grid.rows[ones].sum(axis=0) does, so every output is bit-identical to
     a per-pattern computation. A move keeps the number of ones, so no pair
-    crosses a group: each span of whole groups (see _spans) is validated,
-    sorted and summed in one prefix_sums call and decided in one decide
-    call, and only a group larger than the chunk is done in row chunks.
+    crosses a group, and the scan goes by spans of whole groups (see
+    _spans) in row chunks of at most SCAN_CHUNK_CELLS cells.
+
+    Each chunk's normalized outputs are a temporary of its own: it is
+    validated first (so an error names the unsorted output), sorted in
+    place with np.sort's default sort and summed in reverse straight into
+    the span's prefix buffer, the bits raw_prefix_sums(sort=True) gives.
+    Every row of the span is then paired with its move's row; a passive
+    row has none and is paired with itself. Each decide chunk gathers the
+    partners' prefix sums once and subtracts its own rows by slice, and
+    after the span the passive rows are reset to their unset values, since
+    a self-comparison's left slack of 0 would otherwise be the scan's worst.
     The previous group's sums are dropped once the next group is built
     from them, before any prefix sums exist, so beyond chunk-sized
     temporaries at most two arrays the size of the largest group are held.
@@ -432,17 +441,26 @@ def _decide_plan(grid: TransitionGrid, plan: _ScanPlan, tol: float):
             tails[at:at + len(ones)] = grid.tails[ones].sum(axis=1) / k
         prefix = np.empty((n, width))
         for lo in range(0, n, chunk_rows):
-            prefix[lo:lo + chunk_rows] = prefix_sums(
-                sums[lo:lo + chunk_rows] / scale[lo:lo + chunk_rows],
-                tails[lo:lo + chunk_rows], sort=True, name="pattern output")
-        right = np.flatnonzero(plan.next_row[first:first + n] >= 0)
-        left = plan.next_row[first + right] - first
-        for lo in range(0, len(right), chunk_rows):
-            a, b = left[lo:lo + chunk_rows], right[lo:lo + chunk_rows]
-            v = decide(prefix[a] - prefix[b], tol, tails[a], tails[b])
-            relation[first + b] = v.codes
-            worst[first + b] = v.worst_slack
-            left_slack[first + b] = v.left_slack
+            hi = min(lo + chunk_rows, n)
+            w = sums[lo:hi] / scale[lo:hi]
+            check_rows(w, tails[lo:hi], "pattern output")
+            w.sort(axis=1)
+            raw_prefix_sums(w[:, ::-1], sort=False, out=prefix[lo:hi])
+        nxt = plan.next_row[first:first + n]
+        passive = np.flatnonzero(nxt < 0)
+        partner = nxt - first
+        partner[passive] = passive
+        for lo in range(0, n, chunk_rows):
+            hi = min(lo + chunk_rows, n)
+            margins = prefix[partner[lo:hi]]
+            margins -= prefix[lo:hi]
+            v = decide(margins, tol, tails[partner[lo:hi]], tails[lo:hi])
+            relation[first + lo:first + hi] = v.codes
+            worst[first + lo:first + hi] = v.worst_slack
+            left_slack[first + lo:first + hi] = v.left_slack
+        relation[first + passive] = 0
+        worst[first + passive] = 0.0
+        left_slack[first + passive] = np.inf
         del prefix, sums  # prev keeps the last group's sums alive
     return relation, worst, left_slack
 
@@ -492,7 +510,10 @@ def conjecture_scan(spec: ChannelSpec, length: int, tol: float = DEFAULT_TOL,
     The enumeration is planned once per length and cached; each scan then
     builds every pattern's output from its parent's with one row added,
     and decides every distinct compared pair in a few wide spans of whole
-    groups of patterns with the same number of ones (see _decide_plan).
+    groups of patterns with the same number of ones (see _decide_plan):
+    each chunk is validated, sorted in place and summed into the span's
+    prefix buffer, each decide chunk makes one gather, and the passive
+    patterns, decided against themselves, are then reset.
     Raises DomainError, before any grid is built, unless 2 <= length <= 16,
     check_tol accepts tol and nonbinary_samples and seed are indices.
     """

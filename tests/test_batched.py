@@ -2,6 +2,7 @@
 per-pair references: the pure-Python prefix-sum reference, and a copy of
 the per-pattern scan (one pattern output and one verdict per check)."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -18,6 +19,7 @@ from fockladder import experiments
 from fockladder.experiments import _scan_plan, mixture_checks
 from fockladder.majorization import compare_stack, holds_left
 
+import scan_reference
 from prefix_reference import (prefix_margins, reference_verdict,
                               verdict_from_margins)
 
@@ -213,17 +215,18 @@ def test_batched_scan_matches_per_pattern_scan(spec, monkeypatch):
 
 def test_scan_chunk_budget_sets_the_calls(monkeypatch):
     # one row's cells: every group is chunked row by row and every span is
-    # one group; more cells than any scan has: the whole scan is one span
+    # one group; more cells than any scan has: the whole scan is one span.
+    # Each prefix chunk is validated by one check_rows call.
     spec = standard_grid()[0]
     grid = grid_recurrence(abgx(spec), 9)
     calls = []
 
     def counted(weights, *args, **kwargs):
         calls.append(len(weights))
-        return prefix_sums(weights, *args, **kwargs)
+        return check_rows(weights, *args, **kwargs)
 
-    prefix_sums = experiments.prefix_sums
-    monkeypatch.setattr(experiments, "prefix_sums", counted)
+    check_rows = experiments.check_rows
+    monkeypatch.setattr(experiments, "check_rows", counted)
     for length in range(2, 11):
         compared = sum(len(ones) for _, _, ones in _scan_plan(length).groups if len(ones) > 1)
         for cells, n_calls in ((grid.rows.shape[1], compared), (1 << 40, min(compared, 1))):
@@ -231,6 +234,34 @@ def test_scan_chunk_budget_sets_the_calls(monkeypatch):
             calls.clear()
             conjecture_scan(spec, length, grid=grid)
             assert len(calls) == n_calls and sum(calls) == compared
+
+
+def test_scan_names_the_unsorted_level_of_a_bad_output():
+    # validated before the in-place sort, which would move the NaN last
+    spec = standard_grid()[0]
+    grid = grid_recurrence(abgx(spec), 5)
+    rows = grid.rows.copy()
+    rows[2, 1] = np.nan
+    bad = dataclasses.replace(grid, rows=rows)
+    with pytest.raises(NormalizationError, match=r"^pattern output\[\d+\]: weight 1 is nan"):
+        conjecture_scan(spec, 6, grid=bad)
+
+
+@pytest.mark.parametrize("spec", standard_grid(), ids=lambda s: s.label())
+def test_decide_plan_matches_reference_bytes(spec, monkeypatch):
+    # floats compared as int64 bit patterns, so -0.0 against +0.0 and the
+    # passive rows' inf count; every row, passive ones included
+    grid = grid_recurrence(abgx(spec), 9)
+    for length in range(2, 11):
+        plan = _scan_plan(length)
+        for cells in (experiments.SCAN_CHUNK_CELLS, grid.rows.shape[1], 1 << 40):
+            monkeypatch.setattr(experiments, "SCAN_CHUNK_CELLS", cells)
+            for tol in (1e-12, -1.0):
+                got = experiments._decide_plan(grid, plan, tol)
+                want = scan_reference.decide_plan(grid, plan, tol, cells)
+                assert got[0].tobytes() == want[0].tobytes()
+                for g, w in zip(got[1:], want[1:]):
+                    assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
 
 @pytest.mark.parametrize("length", [12, 16])

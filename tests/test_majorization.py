@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockladder import (DomainError, FockDiagonalState, NormalizationError, Relation,
@@ -417,3 +417,25 @@ def test_stable_and_default_sorts_give_the_same_prefix_sums(spec):
     default = raw_prefix_sums(rows, sort=True)
     stable = raw_prefix_sums(rows, sort=True, kind="stable")
     assert stable.tobytes() == default.tobytes()
+
+
+# ties, both zeros and subnormals, among ordinary weights
+SORT_VALUES = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2e-308, 0.125, 0.25, 1.0])
+               | st.floats(-1.0, 1.0, allow_subnormal=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda rows: st.integers(1, 9).flatmap(
+    lambda cols: st.lists(st.lists(SORT_VALUES, min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))))
+@example([[-0.0, 0.0, 5e-324, 0.0]])          # one row
+@example([[0.0], [-0.0], [5e-324], [0.25]])  # one column
+def test_sort_in_place_then_sum_reversed_matches_sorted_prefix_sums(rows):
+    # the scan's order (sort its own buffer, sum the reversed view) against np.sort's copy
+    w = np.array(rows)
+    want = raw_prefix_sums(w, sort=True)
+    w.sort(axis=1)
+    assert raw_prefix_sums(w[:, ::-1], sort=False).tobytes() == want.tobytes()
+    out = np.empty_like(want)
+    raw_prefix_sums(w[:, ::-1], sort=False, out=out)
+    assert out.tobytes() == want.tobytes()
