@@ -105,10 +105,16 @@ def check_coefficient_rows(rows: list[np.ndarray]) -> None:
     in check_coefficients' words for a single vector, as "mixture
     coefficients[r]" among several.
 
-    Vectors of one length are tested as one stack, unpadded, so each is
-    summed exactly as it is alone and its verdict does not depend on the
-    other vectors (zero-padding a vector of 8 or more entries regroups
-    numpy's pairwise sum, which can move its total by an ulp)."""
+    A lone vector goes to check_rows as a one-row stack, which check_rows
+    tests on Python floats; grouping it first would cost more numpy calls
+    than the test itself. Among several, vectors of one length are tested
+    as one stack, unpadded, so each is summed exactly as it is alone and
+    its verdict does not depend on the other vectors (zero-padding a vector
+    of 8 or more entries regroups numpy's pairwise sum, which can move its
+    total by an ulp)."""
+    if len(rows) == 1:
+        check_rows(rows[0][None, :], np.zeros(1), "mixture coefficients")
+        return
     by_length = {}
     for r, c in enumerate(rows):
         by_length.setdefault(len(c), []).append(r)
@@ -118,8 +124,7 @@ def check_coefficient_rows(rows: list[np.ndarray]) -> None:
         if not ok.all():
             bad = min(bad, at[int(np.argmin(ok))])
     if bad < len(rows):
-        name = "mixture coefficients" if len(rows) == 1 else f"mixture coefficients[{bad}]"
-        check_rows(rows[bad][None, :], np.zeros(1), name)
+        check_rows(rows[bad][None, :], np.zeros(1), f"mixture coefficients[{bad}]")
 
 
 def mix(states: list[FockDiagonalState], coeffs) -> FockDiagonalState:
@@ -221,8 +226,21 @@ def check_rows(weights: np.ndarray, tails: np.ndarray, name: str) -> None:
 
     The rows' lowest entries are reduced with min, not read at argmin:
     argmin copies a read-only array whole before it scans it (a grid's
-    rows are read-only), while min reads it in place."""
+    rows are read-only), while min reads it in place.
+
+    A stack of one row, as the single-pair callers pass, is tested on
+    Python floats: its sum plus its tail and its min(initial=0.0) against
+    the tolerance, which costs two reductions where the stacked test costs
+    about ten numpy calls on one-element arrays. The tests are
+    _normalized's, so a row passes exactly when _normalized passes it; a
+    row that fails is examined by the stacked code below, so every message
+    is the same."""
     tol = NORMALIZATION_TOL
+    if len(weights) == 1:
+        row, tail = weights[0], tails.item()
+        if (abs(row.sum().item() + tail - 1.0) <= tol
+                and row.min(initial=0.0).item() >= -tol and tail >= -tol):
+            return
     ok, totals = _normalized(weights, tails)
     if ok.all():
         return
@@ -286,9 +304,28 @@ def decide(margins: np.ndarray, tol: float, p_tails: np.ndarray,
     gather per row instead of a second reduction. It equals margins.min or
     -margins.max; on a tie between -0.0 and +0.0, where min may return
     either, it is the first, the entry at_index names.
+
+    A stack of one row, as every single-pair caller passes, is decided on
+    Python floats after the two reductions: on one-element arrays each
+    numpy call of the stacked path costs a microsecond or more, where the
+    same comparison of two floats costs tens of nanoseconds. Its float64
+    operations are the stacked path's, so the returned arrays (int8 codes,
+    intp at_index, float64 slacks) hold the same bytes.
     """
     i_left = margins.argmin(axis=1)
     i_right = margins.argmax(axis=1)
+    if len(margins) == 1:
+        left, right = margins.item(0, i_left.item()), -margins.item(0, i_right.item())
+        floor = -(float(tol) + p_tails.item() + q_tails.item())
+        left_ok, right_ok = left >= floor, right >= floor
+        if left_ok == right_ok:
+            use_left = left <= right if left_ok else left >= right
+        else:
+            use_left = left_ok
+        code = _CODES[int(left_ok), int(right_ok)]
+        return VerdictStack(np.array([code]), np.array([left if use_left else right]),
+                            i_left if use_left else i_right, np.array([left]),
+                            np.array([right]))
     at = np.arange(len(margins))
     left = margins[at, i_left]
     right = -margins[at, i_right]
@@ -313,9 +350,11 @@ def compare_stack(P: np.ndarray, Q: np.ndarray, p_tails: np.ndarray,
     inflated by both tail masses, tol + p_tail + q_tail, so that truncation
     can never flip a verdict silently. Raises NormalizationError if a row
     is not a finite distribution within 1e-12, and DomainError if tol is
-    NaN or infinite.
+    NaN or infinite or the stacks have no columns (a pair of distributions
+    with no weights, all mass in the tails, has no prefix to compare).
     """
     check_tol(tol)
+    require(P.shape[1] > 0, "columns", P.shape[1], "at least one weight per distribution")
     margins = prefix_sums(P, p_tails, sort, "p") - prefix_sums(Q, q_tails, sort, "q")
     return decide(margins, tol, p_tails, q_tails)
 

@@ -195,6 +195,7 @@ def test_out_of_domain_experiment_input_exits_2(capsys, monkeypatch, argv):
     '{"p":[Infinity,0],"q":[1,0]}',
     '{"p":[-0.5,1.5],"q":[1,0]}',
     '{"p":[1,0],"q":[1,0],"q_tail":NaN}',
+    '{"p": [], "q": [], "p_tail": 1.0, "q_tail": 1.0}',
 ])
 def test_majorize_rejects_non_distributions(capsys, monkeypatch, payload):
     code, out, err = run_cli(capsys, monkeypatch, ["majorize"], stdin=payload)

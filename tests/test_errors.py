@@ -6,8 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fockladder import DomainError
+from fockladder import (DomainError, FockDiagonalState, MajorizationVerdict, Relation,
+                        fock_compare, majorize_compare)
 from fockladder.errors import HARD_CAP, check_array, check_index, check_real, require
+from fockladder.majorization import compare_stack
 
 
 def test_require_names_the_argument():
@@ -89,3 +91,23 @@ def test_check_array_returns_a_copy():
 def test_check_array_rejects_everything_else(value):
     with pytest.raises(DomainError, match="^w="):
         check_array("w", value, 1, "a 1-D sequence of numbers")
+
+
+@pytest.mark.parametrize("compare", [
+    majorize_compare, fock_compare,
+    lambda p, q: compare_stack(np.zeros((1, 0)), np.zeros((1, 0)), np.ones(1), np.ones(1)),
+    lambda p, q: compare_stack(np.zeros((3, 0)), np.zeros((3, 0)), np.ones(3), np.ones(3),
+                               sort=False),
+    lambda p, q: compare_stack(np.zeros((0, 0)), np.zeros((0, 0)), np.ones(0), np.ones(0)),
+], ids=["majorize_compare", "fock_compare", "one-row-stack", "three-row-stack", "empty-stack"])
+def test_a_pair_with_no_weights_is_out_of_domain(compare):
+    # all mass in the tails leaves no prefix to compare: never a vacuous verdict
+    empty = FockDiagonalState.from_weights([], 1.0)
+    with pytest.raises(DomainError, match="^columns=0 violates"):
+        compare(empty, empty)
+
+
+@pytest.mark.parametrize("compare", [majorize_compare, fock_compare])
+def test_a_pair_with_one_weight_is_decided(compare):
+    v = compare(FockDiagonalState.from_weights([], 1.0), FockDiagonalState.from_weights([0.5], 0.5))
+    assert v == MajorizationVerdict(Relation.EQUIVALENT, -0.5, 0, -0.5, 0.5)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,8 +13,12 @@ from fockladder import (DomainError, FockDiagonalState, NormalizationError, Rela
 from fockladder.errors import CELL_BUDGET
 from fockladder.experiments import standard_grid
 from fockladder.kernels import ladder_matvec
-from fockladder.majorization import decide, holds_left, raw_prefix_sums
+from fockladder.majorization import (NORMALIZATION_TOL, VerdictStack, _normalized,
+                                     check_coefficient_rows, check_rows, decide,
+                                     holds_left, raw_prefix_sums)
 from fockladder.transition import HARD_CAP
+
+import normalization_reference
 
 
 def fds(values, tail=0.0):
@@ -306,6 +311,73 @@ def test_mix_rejects_empty_or_non_1d_coefficients(coeffs):
         mix([FockDiagonalState.point_mass(0)], coeffs)
 
 
+TOL_EDGE = [NORMALIZATION_TOL, -NORMALIZATION_TOL, np.nextafter(-NORMALIZATION_TOL, -1.0),
+            np.nextafter(NORMALIZATION_TOL, 1.0)]
+# the totals 1 +- 1e-12 and their neighbours, on both sides of the test's edge
+EDGE_TOTALS = [float(t) for mid in (1.0 + 1e-12, 1.0 - 1e-12)
+               for t in (np.nextafter(mid, 0.0), mid, np.nextafter(mid, 2.0))]
+ROW_VALUES = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, math.nan, math.inf,
+                               -math.inf, 0.25, 0.5, 1.0, -0.5] + TOL_EDGE)
+              | st.floats(-2.0, 2.0, allow_subnormal=True))
+ROWS = st.one_of(
+    st.tuples(st.lists(ROW_VALUES, max_size=9), ROW_VALUES),
+    # a unit row plus entries and a tail at the tolerance's edges
+    st.tuples(st.lists(st.sampled_from([0.0, -0.0, 5e-324] + TOL_EDGE), max_size=3).map(
+        lambda extra: [1.0] + extra), st.sampled_from([0.0, -0.0] + TOL_EDGE)),
+    # totals at exactly 1 +- 1e-12 and the floats beside them, in the weights or the tail
+    st.sampled_from(EDGE_TOTALS).flatmap(lambda t: st.sampled_from([
+        ([t], 0.0), ([0.5, t - 0.5], 0.0), ([0.25, 0.25, t - 0.5, -0.0], 0.0), ([0.0], t),
+        ([], t), ([t - 0.5], 0.5)])))
+
+
+def one_row_layouts(weights, tail):
+    """The row as a one-row stack: contiguous, reversed, strided and a row of a larger stack."""
+    w = np.array([weights], dtype=np.float64)
+    t = np.array([tail])
+    wide = np.zeros((1, 2 * w.shape[1]))
+    wide[:, ::2] = w
+    two = np.array([w[0][::-1] + 0.25, w[0]])
+    yield w, t
+    yield np.ascontiguousarray(w[:, ::-1])[:, ::-1], np.array([0.5, tail])[1:]
+    yield wide[:, ::2], np.array([tail, 0.0, 0.0])[::3]
+    yield two[1:], np.array([tail, 7.0])[::-1][1:]
+
+
+def outcome(check, *args):
+    """None if check accepts, else the message of its NormalizationError."""
+    try:
+        check(*args)
+    except NormalizationError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(ROWS, st.integers(0, 2))
+@example(([], 1.0), 0)
+@example(([math.nan], 1.0), 1)
+@example(([1.0, -1e-12], 1e-12), 0)
+def test_one_row_stacks_are_checked_as_the_stacked_code_checks_them(row, position):
+    weights, tail = row
+    with np.errstate(all="ignore"):
+        for w, t in one_row_layouts(weights, tail):
+            np.testing.assert_array_equal(w, [weights] if weights else np.zeros((1, 0)))
+            np.testing.assert_array_equal(t, [tail])
+            got = outcome(check_rows, w, t, "v")
+            assert got == outcome(normalization_reference.check_rows, w, t, "v")
+            assert (got is None) == _normalized(w, t)[0][0]
+        # coefficients: a lone vector in check_coefficients' words, else indexed
+        c = np.array(weights, dtype=np.float64)
+        lone = outcome(normalization_reference.check_rows, c[None, :], np.zeros(1),
+                       "mixture coefficients")
+        assert outcome(check_coefficient_rows, [c]) == lone
+        among = [np.array([1.0])] * position + [c, np.array([0.5, 0.5])]
+        want = outcome(normalization_reference.check_rows, c[None, :], np.zeros(1),
+                       f"mixture coefficients[{position}]")
+        assert outcome(check_coefficient_rows, among) == want
+        assert (lone is None) == (want is None)
+
+
 def test_energy_bounds_with_tail():
     # tail mass may sit at any level from len(weights) on: no finite upper end
     s = fds([0.4, 0.4], tail=0.2)
@@ -369,10 +441,10 @@ MARGIN_VALUES = st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 2e-12, -2e-12, 0.25, 
 @given(st.integers(1, 6).flatmap(lambda rows: st.integers(1, 9).flatmap(
            lambda cols: st.lists(st.lists(MARGIN_VALUES, min_size=cols, max_size=cols),
                                  min_size=rows, max_size=rows))),
-       st.sampled_from([0.0, 1e-12, -1e-13]), st.data())
+       st.sampled_from([0.0, 1e-12, -1e-13, -1.0]), st.data())
 def test_decide_reads_the_slacks_that_min_and_max_reduce(margins, tol, data):
     margins = np.array(margins)
-    tails = st.lists(st.sampled_from([0.0, 1e-13, 1e-11]), min_size=len(margins),
+    tails = st.lists(st.sampled_from([0.0, 5e-324, 1e-13, 1e-11]), min_size=len(margins),
                      max_size=len(margins))
     p_tails, q_tails = np.array(data.draw(tails)), np.array(data.draw(tails))
     v = decide(margins, tol, p_tails, q_tails)
@@ -392,6 +464,25 @@ def test_decide_reads_the_slacks_that_min_and_max_reduce(margins, tol, data):
     np.testing.assert_array_equal(v.at_index, at)
     signed = np.where(use_left, margins[rows, at], -margins[rows, at])
     assert v.worst_slack.tobytes() == signed.tobytes()
+    # a row decided alone (on Python floats) is its row of the stack, dtypes included
+    for r in rows:
+        alone = decide(margins[r:r + 1], tol, p_tails[r:r + 1], q_tails[r:r + 1])
+        for f in fields(VerdictStack):
+            got, want = getattr(alone, f.name), getattr(v, f.name)[r:r + 1]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
+
+
+def test_decide_takes_a_float32_tol_on_one_row_as_on_a_stack():
+    # check_tol accepts a numpy float32 tol. Added to Python floats it would stay
+    # float32, and so would the comparisons with it, while the stack adds it to
+    # float64 tails: a margin at the float64 floor holds on both paths
+    tol, p_tails, q_tails = np.float32(1e-12), np.full(2, 1e-13), np.full(2, 1e-12)
+    margins = np.array([[-(tol + p_tails + q_tails)[0], 0.25]] * 2)
+    stack = decide(margins, tol, p_tails, q_tails)
+    alone = decide(margins[:1], tol, p_tails[:1], q_tails[:1])
+    assert holds_left(stack.codes).all()
+    for f in fields(VerdictStack):
+        assert getattr(alone, f.name).tobytes() == getattr(stack, f.name)[:1].tobytes()
 
 
 def test_decide_on_one_column_and_on_signed_zero_ties():
